@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"runtime"
 	"sync/atomic"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"malevade/internal/attack"
+	"malevade/internal/obs"
 	"malevade/internal/tensor"
 )
 
@@ -188,6 +190,52 @@ func TestCloseCancelsEverything(t *testing.T) {
 		}
 	}
 	assertNoGoroutineLeak(t, baseline)
+}
+
+// TestCancelQueuedCampaignCounted: a campaign cancelled while queued is a
+// terminal campaign like any other, so the status counter sees it.
+func TestCancelQueuedCampaignCounted(t *testing.T) {
+	dims := []int{6, 2}
+	craftPath, _ := testNet(t, t.TempDir(), dims, 1)
+	reg := obs.NewRegistry()
+	e := NewEngine(Options{Workers: 1, LocalTarget: &slowTarget{delay: 50 * time.Millisecond}, Obs: reg})
+	defer e.Close()
+	sp := Spec{
+		Attack:         attack.Config{Kind: attack.KindFGSM, Theta: 0.1},
+		CraftModelPath: craftPath,
+		Rows:           testRows(40, dims[0], 2),
+		BatchSize:      1,
+	}
+	long, err := e.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := e.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, ok := e.Cancel(queued.ID); !ok || s.Status != StatusCancelled {
+		t.Fatalf("cancel queued campaign: ok=%v status=%v, want cancelled immediately", ok, s.Status)
+	}
+	var buf bytes.Buffer
+	if err := reg.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := obs.ParseText(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled := 0.0
+	for _, s := range samples {
+		if s.Name == "malevade_campaign_jobs_total" && s.Labels["status"] == string(StatusCancelled) {
+			cancelled = s.Value
+		}
+	}
+	if cancelled != 1 {
+		t.Fatalf("malevade_campaign_jobs_total{status=\"cancelled\"} = %v, want 1\n%s", cancelled, buf.String())
+	}
+	e.Cancel(long.ID)
+	waitTerminal(t, e, long.ID)
 }
 
 // waitFor polls cond with a deadline.

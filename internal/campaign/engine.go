@@ -5,23 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"malevade/internal/attack"
 	"malevade/internal/experiments"
+	"malevade/internal/jobs"
 	"malevade/internal/nn"
 	"malevade/internal/obs"
 	"malevade/internal/tensor"
 )
-
-// JobSecondsBuckets are the job-duration histogram bounds shared by the
-// campaign, harden and mine engines: 10ms (a tiny smoke-test campaign)
-// through 10 minutes (a full hardening round).
-var JobSecondsBuckets = []float64{
-	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300, 600,
-}
 
 // Options configures an Engine. The zero value picks defaults; LocalTarget
 // and CraftModel are only required for specs that actually use them (a spec
@@ -80,8 +73,8 @@ type Options struct {
 	// transition (queued, running, terminal, cancelled, evicted).
 	Logger *slog.Logger
 	// Obs, when set, receives engine metrics: terminal campaigns by
-	// status (malevade_campaign_jobs_total) and a wall-clock duration
-	// histogram (malevade_campaign_seconds).
+	// status (malevade_campaign_jobs_total) and a start-to-terminal
+	// duration histogram (malevade_campaign_seconds).
 	Obs *obs.Registry
 }
 
@@ -107,33 +100,23 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Submission and lookup errors an API layer maps to status codes.
+// Submission errors an API layer maps to status codes: the job runtime's
+// own, so errors.Is matches either spelling.
 var (
-	// ErrQueueFull rejects a Submit when every worker is busy and the
-	// backlog is at QueueDepth.
-	ErrQueueFull = errors.New("campaign: queue is full")
-	// ErrClosed rejects operations on a closed engine.
-	ErrClosed = errors.New("campaign: engine is closed")
+	// ErrQueueFull rejects a Submit while QueueDepth campaigns are waiting
+	// for a worker.
+	ErrQueueFull = jobs.ErrQueueFull
+	// ErrClosed rejects a Submit on a closed engine.
+	ErrClosed = jobs.ErrClosed
 )
 
-// job is one campaign's mutable state. The engine's map owns the pointer;
-// all fields past the immutable head are guarded by mu so status polls and
-// the runner never race.
-type job struct {
-	id     string
-	spec   Spec
-	ctx    context.Context
-	cancel context.CancelFunc
+// state is one campaign's spec and progress, the payload of its runtime
+// job; read and write it under the job's lock.
+type state struct {
+	spec Spec
 	// sink is set only when the engine's sink accepted CampaignStarted,
 	// so a log that failed to open is not streamed into.
-	sink Sink
-
-	mu          sync.Mutex
-	status      Status
-	errMsg      string
-	submitted   time.Time
-	started     time.Time
-	finished    time.Time
+	sink        Sink
 	total       int
 	batches     int
 	retries     int
@@ -143,51 +126,34 @@ type job struct {
 	results     []SampleResult
 }
 
-// Engine is the asynchronous campaign orchestrator: a bounded worker pool
-// draining a submission queue, with every campaign addressable by id for
-// polling and cancellation. Create with NewEngine, Close when done; all
-// methods are safe for concurrent use.
+type job = jobs.Job[state]
+
+// Engine is the asynchronous campaign orchestrator: the campaign body and
+// snapshots over the shared job runtime (internal/jobs), which queues,
+// runs, cancels and retires campaigns by id. Create with NewEngine, Close
+// when done; all methods are safe for concurrent use.
 type Engine struct {
-	opts  Options
-	queue chan *job
-	wg    sync.WaitGroup
-
-	mu     sync.Mutex
-	jobs   map[string]*job
-	order  []string
-	closed bool
-	seq    int64
-
-	submitted atomic.Int64
-	evicted   atomic.Int64
-
-	log      *slog.Logger
-	jobsDone *obs.CounterVec // nil without Options.Obs
-	duration *obs.Histogram  // nil without Options.Obs
+	opts Options
+	log  *slog.Logger
+	rt   *jobs.Runtime[state]
 }
 
 // NewEngine starts an engine with opts.Workers campaign workers.
 func NewEngine(opts Options) *Engine {
-	e := &Engine{opts: opts.withDefaults(), jobs: make(map[string]*job)}
+	e := &Engine{opts: opts.withDefaults()}
 	e.log = obs.Or(e.opts.Logger)
-	if e.opts.Obs != nil {
-		e.jobsDone = e.opts.Obs.CounterVec("malevade_campaign_jobs_total",
-			"Campaigns reaching a terminal status.", "status")
-		e.duration = e.opts.Obs.Histogram("malevade_campaign_seconds",
-			"Campaign wall-clock duration from start to terminal, in seconds.",
-			JobSecondsBuckets)
-	}
-	e.seq = e.opts.BaseSeq
-	e.queue = make(chan *job, e.opts.QueueDepth)
-	e.wg.Add(e.opts.Workers)
-	for i := 0; i < e.opts.Workers; i++ {
-		go func() {
-			defer e.wg.Done()
-			for j := range e.queue {
-				e.run(j)
-			}
-		}()
-	}
+	e.rt = jobs.New(jobs.Config[state]{
+		Kind:       "campaign",
+		Workers:    e.opts.Workers,
+		QueueDepth: e.opts.QueueDepth,
+		MaxHistory: e.opts.MaxHistory,
+		BaseSeq:    e.opts.BaseSeq,
+		Logger:     e.opts.Logger,
+		Obs:        e.opts.Obs,
+		Run:        e.execute,
+		Admit:      e.admit,
+		Finish:     e.finish,
+	})
 	return e
 }
 
@@ -215,77 +181,64 @@ func (e *Engine) Submit(spec Spec) (Snapshot, error) {
 			return Snapshot{}, err
 		}
 	}
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return Snapshot{}, ErrClosed
+	j, err := e.rt.Submit(state{spec: spec, total: len(spec.Rows)})
+	if err != nil {
+		return Snapshot{}, err
 	}
-	if len(e.queue) == cap(e.queue) {
-		e.mu.Unlock()
-		return Snapshot{}, ErrQueueFull
+	return snapshot(j, 0, false), nil
+}
+
+// admit opens the campaign's durable log before the job can produce a
+// result, so the sink's event stream always begins with Started. A sink
+// failure downgrades the campaign to in-memory only.
+func (e *Engine) admit(j *job) {
+	if e.opts.Sink == nil {
+		return
 	}
-	e.seq++
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{
-		id:        fmt.Sprintf("c%06d", e.seq),
-		spec:      spec,
-		ctx:       ctx,
-		cancel:    cancel,
-		status:    StatusQueued,
-		submitted: time.Now(),
-		total:     len(spec.Rows),
+	j.Lock()
+	sp, submitted := j.Data.spec, j.Life().SubmittedAt
+	j.Unlock()
+	if err := e.opts.Sink.CampaignStarted(j.ID(), sp, submitted); err != nil {
+		e.log.Warn("results sink rejected campaign start",
+			slog.String("campaign", j.ID()), slog.String("error", err.Error()))
+		return
 	}
-	if e.opts.Sink != nil {
-		// Open the durable log before the job can produce a result, so
-		// the sink's event stream always begins with Started. A sink
-		// failure downgrades this campaign to in-memory only.
-		if err := e.opts.Sink.CampaignStarted(j.id, spec, j.submitted); err != nil {
-			e.log.Warn("results sink rejected campaign start",
-				slog.String("campaign", j.id), slog.String("error", err.Error()))
-		} else {
-			j.sink = e.opts.Sink
-		}
+	j.Lock()
+	j.Data.sink = e.opts.Sink
+	j.Unlock()
+}
+
+// finish seals the campaign's durable log with its terminal snapshot.
+func (e *Engine) finish(j *job, _ bool) {
+	j.Lock()
+	sink := j.Data.sink
+	j.Unlock()
+	if sink == nil {
+		return
 	}
-	// Cannot block: only Submit sends, only under e.mu, workers only
-	// drain, and capacity was checked above.
-	e.queue <- j
-	e.jobs[j.id] = j
-	e.order = append(e.order, j.id)
-	e.evictLocked()
-	e.mu.Unlock()
-	e.submitted.Add(1)
-	e.log.Info("campaign queued",
-		slog.String("campaign", j.id),
-		slog.String("attack", spec.Attack.String()),
-		slog.String("model", spec.TargetModel))
-	return j.snapshot(0, false), nil
+	if err := sink.CampaignFinished(j.ID(), snapshot(j, 0, false)); err != nil {
+		e.log.Warn("results sink rejected campaign finish",
+			slog.String("campaign", j.ID()), slog.String("error", err.Error()))
+	}
 }
 
 // Get returns a snapshot with per-sample results from offset on, or false
 // for an unknown id.
 func (e *Engine) Get(id string, offset int) (Snapshot, bool) {
-	e.mu.Lock()
-	j, ok := e.jobs[id]
-	e.mu.Unlock()
+	j, ok := e.rt.Job(id)
 	if !ok {
 		return Snapshot{}, false
 	}
-	return j.snapshot(offset, true), true
+	return snapshot(j, offset, true), true
 }
 
 // List returns summary snapshots (no per-sample results) in submission
 // order.
 func (e *Engine) List() []Snapshot {
-	e.mu.Lock()
-	ids := append([]string(nil), e.order...)
-	jobs := make([]*job, 0, len(ids))
-	for _, id := range ids {
-		jobs = append(jobs, e.jobs[id])
-	}
-	e.mu.Unlock()
-	out := make([]Snapshot, 0, len(jobs))
-	for _, j := range jobs {
-		out = append(out, j.snapshot(0, false))
+	js := e.rt.Jobs()
+	out := make([]Snapshot, 0, len(js))
+	for _, j := range js {
+		out = append(out, snapshot(j, 0, false))
 	}
 	return out
 }
@@ -296,186 +249,68 @@ func (e *Engine) List() []Snapshot {
 // unchanged. Cancel returns as soon as the request is registered — poll Get
 // for the terminal state.
 func (e *Engine) Cancel(id string) (Snapshot, bool) {
-	e.mu.Lock()
-	j, ok := e.jobs[id]
-	e.mu.Unlock()
+	j, ok := e.rt.Cancel(id)
 	if !ok {
 		return Snapshot{}, false
 	}
-	j.cancel()
-	j.mu.Lock()
-	if j.status == StatusQueued {
-		j.markCancelledLocked()
-	}
-	j.mu.Unlock()
-	e.log.Info("campaign cancel requested", slog.String("campaign", id))
-	return j.snapshot(0, false), true
+	return snapshot(j, 0, false), true
 }
 
 // Submitted counts campaigns accepted since the engine started.
-func (e *Engine) Submitted() int64 { return e.submitted.Load() }
+func (e *Engine) Submitted() int64 { return e.rt.Submitted() }
 
 // Evicted counts terminal campaigns dropped from in-memory history by the
 // MaxHistory cap. With a Sink attached their results remain durably stored
 // and queryable; without one they are gone — either way the eviction is
 // counted and logged, never silent.
-func (e *Engine) Evicted() int64 { return e.evicted.Load() }
-
-// evictLocked drops the oldest terminal campaigns beyond MaxHistory so a
-// long-lived engine's memory stays bounded. Live (queued/running) campaigns
-// are never evicted; the map can therefore briefly exceed the cap when
-// everything retained is still live. Evicted campaigns' ids answer
-// "unknown" from the engine afterwards, but their results were already
-// streamed to the Sink (when one is attached), so eviction archives rather
-// than destroys. Callers hold e.mu.
-func (e *Engine) evictLocked() {
-	if len(e.order) <= e.opts.MaxHistory {
-		return
-	}
-	kept := e.order[:0]
-	excess := len(e.order) - e.opts.MaxHistory
-	for _, id := range e.order {
-		j := e.jobs[id]
-		if excess > 0 && j.snapshotStatus().Terminal() {
-			delete(e.jobs, id)
-			excess--
-			e.evicted.Add(1)
-			e.log.Info("campaign evicted from history",
-				slog.String("campaign", id),
-				slog.Bool("archived", j.sink != nil))
-			continue
-		}
-		kept = append(kept, id)
-	}
-	e.order = kept
-}
+func (e *Engine) Evicted() int64 { return e.rt.Evicted() }
 
 // Close cancels every campaign, stops the workers and waits for them.
 // Idempotent; subsequent Submits fail with ErrClosed while Get/List keep
 // answering from the final snapshots.
-func (e *Engine) Close() {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	e.closed = true
-	jobs := make([]*job, 0, len(e.jobs))
-	for _, j := range e.jobs {
-		jobs = append(jobs, j)
-	}
-	e.mu.Unlock()
-	for _, j := range jobs {
-		j.cancel()
-	}
-	close(e.queue)
-	e.wg.Wait()
-}
+func (e *Engine) Close() { e.rt.Close() }
 
-// run executes one campaign on a worker goroutine.
-func (e *Engine) run(j *job) {
-	j.mu.Lock()
-	if j.ctx.Err() != nil || j.status != StatusQueued {
-		// Cancelled while queued (or Close raced the queue drain):
-		// never start.
-		j.markCancelledLocked()
-		j.mu.Unlock()
-		j.finishSink(e)
-		return
-	}
-	j.status = StatusRunning
-	j.started = time.Now()
-	j.mu.Unlock()
-	e.log.Info("campaign running", slog.String("campaign", j.id))
-
-	err := e.execute(j)
-
-	j.mu.Lock()
-	j.finished = time.Now()
-	switch {
-	case err == nil:
-		j.status = StatusDone
-	case errors.Is(err, context.Canceled):
-		j.status = StatusCancelled
-		j.errMsg = "cancelled"
-	default:
-		j.status = StatusFailed
-		j.errMsg = err.Error()
-	}
-	status, done, total := j.status, len(j.results), j.total
-	elapsed := j.finished.Sub(j.started)
-	j.mu.Unlock()
-	if e.jobsDone != nil {
-		e.jobsDone.With(string(status)).Inc()
-		e.duration.Observe(elapsed.Seconds())
-	}
-	e.log.Info("campaign finished",
-		slog.String("campaign", j.id),
-		slog.String("status", string(status)),
-		slog.Int("samples", done),
-		slog.Int("total", total),
-		slog.Duration("elapsed", elapsed))
-	j.finishSink(e)
-}
-
-// finishSink seals the job's durable log with its terminal snapshot. Every
-// job that entered the queue passes through run exactly once (Close drains
-// the queue), so this is the single Finished call site.
-func (j *job) finishSink(e *Engine) {
-	if j.sink == nil {
-		return
-	}
-	if err := j.sink.CampaignFinished(j.id, j.snapshot(0, false)); err != nil {
-		e.log.Warn("results sink rejected campaign finish",
-			slog.String("campaign", j.id), slog.String("error", err.Error()))
-	}
-}
-
-// execute runs the campaign body: resolve crafting model, population and
-// target, then craft and judge batch by batch. Panics from the attack layer
-// (width mismatches on hostile specs) surface as job failures, never as a
-// crashed worker.
-func (e *Engine) execute(j *job) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("campaign: attack panicked: %v", r)
-		}
-	}()
-
-	craft, err := e.craftModel(j.spec)
+// execute is the campaign body: resolve crafting model, population and
+// target, then craft and judge batch by batch, checking for cancellation
+// at every batch boundary.
+func (e *Engine) execute(ctx context.Context, j *job) error {
+	j.Lock()
+	sp, sink := j.Data.spec, j.Data.sink
+	j.Unlock()
+	craft, err := e.craftModel(sp)
 	if err != nil {
 		return err
 	}
-	x, err := e.population(j.spec, craft.InDim())
+	x, err := e.population(sp, craft.InDim())
 	if err != nil {
 		return err
 	}
-	j.mu.Lock()
-	j.total = x.Rows
+	j.Lock()
+	j.Data.total = x.Rows
 	// The population matrix owns the rows now; dropping the submitted
 	// slices keeps a retained terminal job at snapshot size (explicit-rows
 	// specs can be tens of megabytes).
-	j.spec.Rows = nil
-	j.mu.Unlock()
+	j.Data.spec.Rows = nil
+	j.Unlock()
 
-	target, err := e.target(j.spec)
+	target, err := e.target(sp)
 	if err != nil {
 		return err
 	}
 
-	batch := j.spec.BatchSize
+	batch := sp.BatchSize
 	if batch <= 0 {
 		batch = e.opts.DefaultBatch
 	}
 	for start := 0; start < x.Rows; start += batch {
-		if err := j.ctx.Err(); err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
 		end := start + batch
 		if end > x.Rows {
 			end = x.Rows
 		}
-		if err := e.runBatch(j, craft, target, x, start, end); err != nil {
+		if err := e.runBatch(ctx, j, sp, sink, craft, target, x, start, end); err != nil {
 			return err
 		}
 	}
@@ -485,11 +320,11 @@ func (e *Engine) execute(j *job) (err error) {
 // runBatch crafts adversarial examples for rows [start,end) and judges the
 // whole batch — originals and adversarials — in one generation-pinned
 // target call.
-func (e *Engine) runBatch(j *job, craft *nn.Network, target Target, x *tensor.Matrix, start, end int) error {
+func (e *Engine) runBatch(ctx context.Context, j *job, sp Spec, sink Sink, craft *nn.Network, target Target, x *tensor.Matrix, start, end int) error {
 	n := end - start
 	bx := tensor.FromSlice(n, x.Cols, x.Data[start*x.Cols:end*x.Cols])
 
-	cfg := j.spec.Attack
+	cfg := sp.Attack
 	if !cfg.BatchInvariant() {
 		// Seed-stream attacks are re-seeded per batch so every batch is
 		// reproducible in isolation (results then depend on BatchSize,
@@ -508,7 +343,7 @@ func (e *Engine) runBatch(j *job, craft *nn.Network, target Target, x *tensor.Ma
 	combined := tensor.New(2*n, x.Cols)
 	copy(combined.Data[:n*x.Cols], bx.Data)
 	copy(combined.Data[n*x.Cols:], adv.Data)
-	labels, gen, err := e.judge(j, target, combined)
+	labels, gen, err := e.judge(ctx, j, target, combined)
 	if err != nil {
 		return err
 	}
@@ -524,35 +359,36 @@ func (e *Engine) runBatch(j *job, craft *nn.Network, target Target, x *tensor.Ma
 			L2:               results[i].L2,
 			ModifiedFeatures: len(results[i].ModifiedFeatures),
 		}
-		if j.spec.KeepRows {
+		if sp.KeepRows {
 			sr.Adversarial = append([]float64(nil), adv.Row(i)...)
 		}
 		batchResults[i] = sr
 	}
 
-	j.mu.Lock()
-	j.batches++
-	if !containsGen(j.generations, gen) {
-		j.generations = append(j.generations, gen)
+	j.Lock()
+	st := &j.Data
+	st.batches++
+	if !slices.Contains(st.generations, gen) {
+		st.generations = append(st.generations, gen)
 	}
 	for _, sr := range batchResults {
 		if sr.BaselineDetected {
-			j.detected++
+			st.detected++
 		}
 		if sr.Evaded {
-			j.evaded++
+			st.evaded++
 		}
 	}
-	j.results = append(j.results, batchResults...)
-	j.mu.Unlock()
+	st.results = append(st.results, batchResults...)
+	j.Unlock()
 
-	// Stream the batch durably outside j.mu: the fsync must not stall
-	// status polls. Only this job's worker calls the sink with samples,
-	// so batches arrive in judged order.
-	if j.sink != nil {
-		if err := j.sink.CampaignSamples(j.id, batchResults); err != nil {
+	// Stream the batch durably outside the job's lock: the fsync must not
+	// stall status polls. Only this job's worker calls the sink with
+	// samples, so batches arrive in judged order.
+	if sink != nil {
+		if err := sink.CampaignSamples(j.ID(), batchResults); err != nil {
 			e.log.Warn("results sink rejected batch",
-				slog.String("campaign", j.id), slog.String("error", err.Error()))
+				slog.String("campaign", j.ID()), slog.String("error", err.Error()))
 		}
 	}
 	return nil
@@ -560,13 +396,13 @@ func (e *Engine) runBatch(j *job, craft *nn.Network, target Target, x *tensor.Ma
 
 // judge evaluates one batch against the target, retrying transient failures
 // (remote blips, mid-batch reloads) up to Options.Retries times.
-func (e *Engine) judge(j *job, target Target, x *tensor.Matrix) ([]int, int64, error) {
+func (e *Engine) judge(ctx context.Context, j *job, target Target, x *tensor.Matrix) ([]int, int64, error) {
 	var lastErr error
 	for attempt := 0; attempt <= e.opts.Retries; attempt++ {
-		if err := j.ctx.Err(); err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, 0, err
 		}
-		labels, gen, err := target.LabelBatch(j.ctx, x)
+		labels, gen, err := target.LabelBatch(ctx, x)
 		if err == nil {
 			if len(labels) != x.Rows {
 				return nil, 0, fmt.Errorf("campaign: target returned %d labels for %d rows", len(labels), x.Rows)
@@ -579,12 +415,12 @@ func (e *Engine) judge(j *job, target Target, x *tensor.Matrix) ([]int, int64, e
 			return nil, 0, err
 		}
 		lastErr = err
-		j.mu.Lock()
-		j.retries++
-		j.mu.Unlock()
+		j.Lock()
+		j.Data.retries++
+		j.Unlock()
 		select {
-		case <-j.ctx.Done():
-			return nil, 0, j.ctx.Err()
+		case <-ctx.Done():
+			return nil, 0, ctx.Err()
 		case <-time.After(time.Duration(attempt+1) * 10 * time.Millisecond):
 		}
 	}
@@ -675,71 +511,36 @@ func (e *Engine) target(spec Spec) (Target, error) {
 	return e.opts.LocalTarget, nil
 }
 
-func containsGen(gens []int64, g int64) bool {
-	for _, have := range gens {
-		if have == g {
-			return true
-		}
-	}
-	return false
-}
-
-// snapshotStatus reads the job status under its lock.
-func (j *job) snapshotStatus() Status {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.status
-}
-
-// markCancelledLocked finalizes a job that never ran. Callers hold j.mu.
-func (j *job) markCancelledLocked() {
-	if j.status.Terminal() {
-		return
-	}
-	j.status = StatusCancelled
-	j.errMsg = "cancelled"
-	j.finished = time.Now()
-}
-
-// snapshot copies the job state. offset windows the per-sample results when
-// includeResults is set; Spec.Rows is always elided (TotalSamples carries
-// the population size, and explicit rows can be megabytes).
-func (j *job) snapshot(offset int, includeResults bool) Snapshot {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// snapshot copies the job state. offset windows the per-sample results
+// when includeResults is set; Spec.Rows is always elided (TotalSamples
+// carries the population size, and explicit rows can be megabytes).
+func snapshot(j *job, offset int, includeResults bool) Snapshot {
+	j.Lock()
+	defer j.Unlock()
+	life, st := j.Life(), &j.Data
 	s := Snapshot{
-		ID:          j.id,
-		Spec:        j.spec,
-		Status:      j.status,
-		Error:       j.errMsg,
-		SubmittedAt: j.submitted,
-		StartedAt:   j.started,
-		FinishedAt:  j.finished,
-		TotalSamples: func() int {
-			if j.total > 0 {
-				return j.total
-			}
-			return len(j.spec.Rows)
-		}(),
-		DoneSamples: len(j.results),
-		Batches:     j.batches,
-		Retries:     j.retries,
-		Generations: append([]int64(nil), j.generations...),
+		ID:           life.ID,
+		Spec:         st.spec,
+		Status:       life.Status,
+		Error:        life.Error,
+		SubmittedAt:  life.SubmittedAt,
+		StartedAt:    life.StartedAt,
+		FinishedAt:   life.FinishedAt,
+		TotalSamples: st.total,
+		DoneSamples:  len(st.results),
+		Batches:      st.batches,
+		Retries:      st.retries,
+		Generations:  slices.Clone(st.generations),
 	}
 	s.Spec.Rows = nil
-	if n := len(j.results); n > 0 {
-		s.BaselineDetectionRate = float64(j.detected) / float64(n)
-		s.EvasionRate = float64(j.evaded) / float64(n)
+	if n := len(st.results); n > 0 {
+		s.BaselineDetectionRate = float64(st.detected) / float64(n)
+		s.EvasionRate = float64(st.evaded) / float64(n)
 	}
 	if includeResults {
-		if offset < 0 {
-			offset = 0
-		}
-		if offset > len(j.results) {
-			offset = len(j.results)
-		}
+		offset = min(max(offset, 0), len(st.results))
 		s.ResultsOffset = offset
-		s.Results = append([]SampleResult(nil), j.results[offset:]...)
+		s.Results = append([]SampleResult(nil), st.results[offset:]...)
 	}
 	return s
 }

@@ -8,9 +8,10 @@ import "time"
 // state (including campaigns cancelled before they ran). The results store
 // (internal/store) implements it; a nil sink disables streaming.
 //
-// The engine calls Started synchronously under its submit path and the
-// other two from the job's worker goroutine, so calls for one campaign are
-// strictly ordered and never concurrent. Sink errors are logged and
+// The engine calls Started synchronously under its submit path, before any
+// worker can start the campaign, and the other two from the goroutine that
+// ends it — its worker, or the Cancel or Close that took it off the queue —
+// so calls for one campaign are strictly ordered and never concurrent. Sink errors are logged and
 // swallowed: durability is best-effort from the engine's side, and a
 // failing disk must not fail a running campaign.
 type Sink interface {

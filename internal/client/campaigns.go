@@ -79,30 +79,45 @@ type WaitOptions struct {
 // ctx abandons the wait promptly with ctx.Err(); the campaign itself
 // keeps running — use CancelCampaign to stop it.
 func (c *Client) WaitCampaign(ctx context.Context, id string, opts WaitOptions) (spec.Snapshot, error) {
-	interval := opts.Interval
-	if interval <= 0 {
-		interval = 250 * time.Millisecond
-	}
 	var all []spec.SampleResult
-	for {
+	snap, err := poll(ctx, opts.Interval, 250*time.Millisecond, opts.OnSnapshot, func() (spec.Snapshot, spec.Status, error) {
 		snap, err := c.CampaignSnapshot(ctx, id, len(all))
-		if err != nil {
-			return spec.Snapshot{}, err
-		}
 		all = append(all, snap.Results...)
-		if opts.OnSnapshot != nil {
-			opts.OnSnapshot(snap)
+		return snap, snap.Status, err
+	})
+	if err != nil {
+		return spec.Snapshot{}, err
+	}
+	snap.ResultsOffset = 0
+	snap.Results = all
+	return snap, nil
+}
+
+// poll fetches a job snapshot every interval (fallback when interval is not
+// positive), handing each to onSnap when it is set, until the snapshot's
+// status is terminal. Cancelling ctx abandons the wait with ctx.Err(); the
+// job itself keeps running.
+func poll[S any](ctx context.Context, interval, fallback time.Duration, onSnap func(S), fetch func() (S, spec.Status, error)) (S, error) {
+	if interval <= 0 {
+		interval = fallback
+	}
+	var zero S
+	for {
+		snap, status, err := fetch()
+		if err != nil {
+			return zero, err
 		}
-		if snap.Status.Terminal() {
-			snap.ResultsOffset = 0
-			snap.Results = all
+		if onSnap != nil {
+			onSnap(snap)
+		}
+		if status.Terminal() {
 			return snap, nil
 		}
 		t := time.NewTimer(interval)
 		select {
 		case <-ctx.Done():
 			t.Stop()
-			return spec.Snapshot{}, ctx.Err()
+			return zero, ctx.Err()
 		case <-t.C:
 		}
 	}

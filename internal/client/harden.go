@@ -68,27 +68,8 @@ type HardenWaitOptions struct {
 // Cancelling ctx abandons the wait promptly with ctx.Err(); the job itself
 // keeps running — use CancelHarden to stop it.
 func (c *Client) WaitHarden(ctx context.Context, id string, opts HardenWaitOptions) (hspec.Snapshot, error) {
-	interval := opts.Interval
-	if interval <= 0 {
-		interval = 500 * time.Millisecond
-	}
-	for {
+	return poll(ctx, opts.Interval, 500*time.Millisecond, opts.OnSnapshot, func() (hspec.Snapshot, hspec.Status, error) {
 		snap, err := c.HardenSnapshot(ctx, id)
-		if err != nil {
-			return hspec.Snapshot{}, err
-		}
-		if opts.OnSnapshot != nil {
-			opts.OnSnapshot(snap)
-		}
-		if snap.Status.Terminal() {
-			return snap, nil
-		}
-		t := time.NewTimer(interval)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return hspec.Snapshot{}, ctx.Err()
-		case <-t.C:
-		}
-	}
+		return snap, snap.Status, err
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"time"
 
+	"malevade/internal/campaign/spec"
 	"malevade/internal/store"
 )
 
@@ -220,9 +221,10 @@ func (c *Client) Mines(ctx context.Context) ([]store.MineSnapshot, error) {
 	return list.Jobs, err
 }
 
-// CancelMine cancels a queued sweep via DELETE /v1/mine/{id}. Running and
-// terminal sweeps are unaffected; the returned snapshot reports the
-// outcome either way.
+// CancelMine cancels a sweep via DELETE /v1/mine/{id} and returns the
+// resulting snapshot. A queued sweep is cancelled at once; a running one
+// stops at its checkpoint between reading the traffic and ranking it — wait
+// for it with WaitMine; a terminal one is unaffected.
 func (c *Client) CancelMine(ctx context.Context, id string) (store.MineSnapshot, error) {
 	var snap store.MineSnapshot
 	err := c.do(ctx, http.MethodDelete, "/v1/mine/"+url.PathEscape(id), nil, &snap, false)
@@ -241,27 +243,8 @@ type MineWaitOptions struct {
 // the terminal snapshot with its ranked findings. Cancelling ctx abandons
 // the wait promptly with ctx.Err().
 func (c *Client) WaitMine(ctx context.Context, id string, opts MineWaitOptions) (store.MineSnapshot, error) {
-	interval := opts.Interval
-	if interval <= 0 {
-		interval = 100 * time.Millisecond
-	}
-	for {
+	return poll(ctx, opts.Interval, 100*time.Millisecond, opts.OnSnapshot, func() (store.MineSnapshot, spec.Status, error) {
 		snap, err := c.MineSnapshot(ctx, id)
-		if err != nil {
-			return store.MineSnapshot{}, err
-		}
-		if opts.OnSnapshot != nil {
-			opts.OnSnapshot(snap)
-		}
-		if snap.Status.Terminal() {
-			return snap, nil
-		}
-		t := time.NewTimer(interval)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return store.MineSnapshot{}, ctx.Err()
-		case <-t.C:
-		}
-	}
+		return snap, snap.Status, err
+	})
 }

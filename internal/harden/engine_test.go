@@ -685,7 +685,9 @@ func TestHardenQueuedCancelAndEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitHardenStatus(t, e, running.ID, func(s spec.Snapshot) bool { return s.Status == spec.StatusRunning }, "first job to start")
+	// Wait on the event itself: the first job has submitted its campaign
+	// (it persists state and snapshots its crafting model before that).
+	waitHardenStatus(t, e, running.ID, func(s spec.Snapshot) bool { return s.CurrentCampaign != "" }, "first job's campaign to be in flight")
 	queued, err := e.Submit(validSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -696,8 +698,11 @@ func TestHardenQueuedCancelAndEviction(t *testing.T) {
 	if st, err := readState(filepath.Join(dir, queued.ID+".json")); err != nil || st.Snapshot.Status != spec.StatusCancelled {
 		t.Fatalf("queued cancel not persisted: %v / %+v", err, st.Snapshot.Status)
 	}
-	if camps.submits != 1 {
-		t.Errorf("cancelled-while-queued job submitted a campaign (%d submits)", camps.submits)
+	camps.mu.Lock()
+	submits := camps.submits
+	camps.mu.Unlock()
+	if submits != 1 {
+		t.Errorf("cancelled-while-queued job submitted a campaign (%d submits)", submits)
 	}
 
 	// Two more terminal jobs push history past MaxHistory=2: the oldest

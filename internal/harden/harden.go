@@ -6,11 +6,11 @@
 // to measure the per-round evasion-rate drop — until a target rate or the
 // round budget.
 //
-// The controller runs jobs on a bounded worker pool, like the campaign
-// engine it drives, with one addition: every job persists its snapshot (and
-// the crafting-model snapshot it attacks with) under a state directory next
-// to the registry, so a restarted daemon resumes an in-flight job at its
-// last recorded round instead of losing it. Crafting is pinned to the
+// The controller runs jobs on the shared job runtime (internal/jobs), like
+// the campaign engine it drives, with one addition: every job persists its
+// snapshot (and the crafting-model snapshot it attacks with) under a state
+// directory next to the registry, so a restarted daemon resumes an
+// in-flight job at its last recorded round instead of losing it. Crafting is pinned to the
 // target's live version as of job start — the paper's fixed-adversarial-
 // examples methodology — so the measured drop is attributable to
 // retraining, not to a moving crafting gradient.

@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"malevade/internal/dataset"
+	"malevade/internal/jobs/jobhttp"
 	"malevade/internal/nn"
 	"malevade/internal/registry"
 	"malevade/internal/store"
@@ -26,7 +27,7 @@ import (
 //	POST   /v1/mine                 submit a traffic sweep     → 202
 //	GET    /v1/mine                 list sweeps
 //	GET    /v1/mine/{id}            ranked findings report
-//	DELETE /v1/mine/{id}            cancel a queued sweep      → 202
+//	DELETE /v1/mine/{id}            cancel a sweep             → 202
 //
 // The store only exists when the daemon has a registry (results persist
 // under RegistryDir/.results), so every handler first refuses storeless
@@ -411,28 +412,14 @@ func (s *Server) handleMineSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// An entirely empty body sweeps with the defaults; anything present
 	// must be a valid spec.
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
 	var spec store.MineSpec
-	if err := dec.Decode(&spec); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
-		return
-	} else if err == nil && dec.More() {
-		writeError(w, http.StatusBadRequest, "trailing data after JSON body")
+	if status, err := jobhttp.Decode(w, r, 1<<20, &spec); err != nil && !errors.Is(err, io.EOF) {
+		writeError(w, status, "%v", err)
 		return
 	}
 	id, err := s.miner.Submit(spec)
 	if err != nil {
-		status := http.StatusUnprocessableEntity
-		code := wire.CodeInvalidSpec
-		switch {
-		case errors.Is(err, store.ErrMineQueueFull):
-			status, code = http.StatusTooManyRequests, wire.CodeQueueFull
-		case errors.Is(err, store.ErrMinerClosed):
-			status, code = http.StatusServiceUnavailable, wire.CodeUnavailable
-		}
-		writeErrorCode(w, status, code, "%v", err)
+		jobhttp.WriteSubmitError(w, err)
 		return
 	}
 	snap, err := s.miner.Get(id)

@@ -542,10 +542,13 @@ func (s *Server) registerFuncMetrics() {
 }
 
 // engineTotals sums batch/row counters across retired generations and
-// the live slot. The live engine is pinned before retired counters are
-// read so a concurrent reload cannot fold the pinned engine's counters
-// mid-sum — successive scrapes stay monotone.
+// the live slot. It holds reloadMu, because a reload swaps the slot before
+// it folds the old engine's counters into the retired totals: a sum taken
+// between the two would miss that engine and the scraped counters would
+// move backwards.
 func (s *Server) engineTotals() (batches, rows int64) {
+	s.reloadMu.Lock()
+	defer s.reloadMu.Unlock()
 	m := s.acquire()
 	batches, rows = s.retiredBatches.Load(), s.retiredRows.Load()
 	if m != nil {

@@ -1,27 +1,29 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"log/slog"
 	"math"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"malevade/internal/campaign/spec"
-	"malevade/internal/obs"
+	"malevade/internal/jobs"
 	"malevade/internal/tensor"
 )
 
-// Miner lifecycle errors, mirroring the campaign engine's shape so the
-// server maps them onto the same HTTP statuses.
+// Miner lifecycle errors. The first two are the job runtime's own, so the
+// server maps them onto the same HTTP statuses as every job kind.
 var (
-	// ErrMineQueueFull rejects a submit when the job queue is at capacity.
-	ErrMineQueueFull = errors.New("store: mine queue full")
-	// ErrMinerClosed rejects operations after Close.
-	ErrMinerClosed = errors.New("store: miner closed")
+	// ErrMineQueueFull rejects a submit while QueueDepth sweeps are
+	// waiting for a worker.
+	ErrMineQueueFull = jobs.ErrQueueFull
+	// ErrMinerClosed rejects a submit after Close.
+	ErrMinerClosed = jobs.ErrClosed
 	// ErrUnknownMineJob marks a lookup for a mine job id the miner has
 	// never assigned.
 	ErrUnknownMineJob = errors.New("store: unknown mine job")
@@ -120,11 +122,11 @@ type MinerOptions struct {
 	// Workers is the sweep worker-pool size (default 1 — sweeps are
 	// CPU-light; ordering beats parallelism here).
 	Workers int
-	// QueueDepth bounds queued jobs (default 8); a full queue rejects
-	// with ErrMineQueueFull.
+	// QueueDepth bounds jobs waiting for a worker (default 8); a full
+	// queue rejects with ErrMineQueueFull.
 	QueueDepth int
-	// MaxHistory bounds retained terminal jobs (default 64; oldest
-	// terminal jobs are evicted first).
+	// MaxHistory bounds retained jobs (default 64; oldest terminal jobs
+	// are evicted first). Every retained sweep pins its findings' rows.
 	MaxHistory int
 	// DefaultBand is the Band applied when a spec leaves it zero
 	// (default 0.15).
@@ -155,46 +157,42 @@ func (o MinerOptions) withDefaults() MinerOptions {
 	return o
 }
 
-// mineJob is one queued/running/terminal sweep.
-type mineJob struct {
-	mu   sync.Mutex
-	snap MineSnapshot
-	stop chan struct{} // closed by Cancel
+// sweep is one mine job's payload: its spec and, once done, its report.
+type sweep struct {
+	spec     MineSpec
+	swept    int
+	findings []Finding
 }
 
-// Miner runs queued traffic sweeps against a Store — the campaign/harden
-// worker-pool shape applied to historical attack mining.
+type mineJob = jobs.Job[sweep]
+
+// Miner runs queued traffic sweeps against a Store: the sweep body and its
+// snapshots over the shared job runtime (internal/jobs), which queues,
+// runs, cancels and retires sweeps by id. Terminal sweeps are counted in
+// malevade_mine_jobs_total{status} and timed in malevade_mine_seconds on
+// the Store's metrics registry.
 type Miner struct {
-	store *Store
-	opts  MinerOptions
+	opts MinerOptions
+	rt   *jobs.Runtime[sweep]
 
-	log *slog.Logger
-
-	mu     sync.Mutex
-	seq    int64
-	jobs   map[string]*mineJob
-	order  []string
-	queue  chan *mineJob
-	closed bool
-	wg     sync.WaitGroup
-
-	submitted int64
+	// traffic reads the rows a sweep ranks (the store's Traffic; tests
+	// wrap it to hold a sweep mid-body).
+	traffic func() ([]TrafficRow, error)
 }
 
 // NewMiner starts a miner over st with opts.Workers sweep workers.
 func NewMiner(st *Store, opts MinerOptions) *Miner {
 	opts = opts.withDefaults()
-	m := &Miner{
-		store: st,
-		opts:  opts,
-		log:   obs.Or(opts.Logger),
-		jobs:  make(map[string]*mineJob),
-		queue: make(chan *mineJob, opts.QueueDepth),
-	}
-	for i := 0; i < opts.Workers; i++ {
-		m.wg.Add(1)
-		go m.worker()
-	}
+	m := &Miner{opts: opts, traffic: st.Traffic}
+	m.rt = jobs.New(jobs.Config[sweep]{
+		Kind:       "mine",
+		Workers:    opts.Workers,
+		QueueDepth: opts.QueueDepth,
+		MaxHistory: opts.MaxHistory,
+		Logger:     opts.Logger,
+		Obs:        st.opts.Obs,
+		Run:        m.run,
+	})
 	return m
 }
 
@@ -209,180 +207,86 @@ func (m *Miner) Submit(sp MineSpec) (string, error) {
 	if sp.MaxFindings == 0 {
 		sp.MaxFindings = m.opts.MaxFindings
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return "", ErrMinerClosed
-	}
-	if len(m.queue) == cap(m.queue) {
-		return "", ErrMineQueueFull
-	}
-	m.seq++
-	id := fmt.Sprintf("m%06d", m.seq)
-	j := &mineJob{
-		snap: MineSnapshot{ID: id, Spec: sp, Status: spec.StatusQueued, SubmittedAt: time.Now()},
-		stop: make(chan struct{}),
-	}
-	m.jobs[id] = j
-	m.order = append(m.order, id)
-	m.evictLocked()
-	m.queue <- j // cannot block: capacity checked above under m.mu
-	m.submitted++
-	m.log.Info("mine job submitted",
-		slog.String("job", id),
-		slog.String("model", sp.Model),
-		slog.Float64("band", sp.Band))
-	return id, nil
-}
-
-// evictLocked drops the oldest terminal jobs past MaxHistory.
-func (m *Miner) evictLocked() {
-	for len(m.order) > m.opts.MaxHistory {
-		evicted := false
-		for i, id := range m.order {
-			if j := m.jobs[id]; j != nil && j.terminal() {
-				delete(m.jobs, id)
-				m.order = append(m.order[:i], m.order[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			return // everything retained is still live
-		}
-	}
-}
-
-func (j *mineJob) terminal() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.snap.Status.Terminal()
-}
-
-func (m *Miner) worker() {
-	defer m.wg.Done()
-	for j := range m.queue {
-		m.run(j)
-	}
-}
-
-func (m *Miner) run(j *mineJob) {
-	j.mu.Lock()
-	select {
-	case <-j.stop:
-		j.snap.Status = spec.StatusCancelled
-		j.snap.Error = "cancelled before start"
-		j.snap.FinishedAt = time.Now()
-		j.mu.Unlock()
-		return
-	default:
-	}
-	j.snap.Status = spec.StatusRunning
-	j.snap.StartedAt = time.Now()
-	sp := j.snap.Spec
-	j.mu.Unlock()
-
-	rows, err := m.store.Traffic()
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.snap.FinishedAt = time.Now()
+	j, err := m.rt.Submit(sweep{spec: sp})
 	if err != nil {
-		j.snap.Status = spec.StatusFailed
-		j.snap.Error = err.Error()
-		m.log.Warn("mine job failed",
-			slog.String("job", j.snap.ID),
-			slog.String("error", err.Error()))
-		return
+		return "", err
 	}
-	j.snap.Swept = len(rows)
-	j.snap.Findings = SweepTraffic(rows, sp)
-	j.snap.Status = spec.StatusDone
-	m.log.Info("mine job done",
-		slog.String("job", j.snap.ID),
-		slog.Int("swept", j.snap.Swept),
-		slog.Int("findings", len(j.snap.Findings)))
+	return j.ID(), nil
+}
+
+// run is the sweep body. Its cancellation checkpoint sits between reading
+// the traffic and ranking it.
+func (m *Miner) run(ctx context.Context, j *mineJob) error {
+	j.Lock()
+	sp := j.Data.spec
+	j.Unlock()
+	rows, err := m.traffic()
+	if err != nil {
+		return err
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	findings := SweepTraffic(rows, sp)
+	j.Lock()
+	j.Data.swept, j.Data.findings = len(rows), findings
+	j.Unlock()
+	return nil
 }
 
 // Get returns a snapshot of one job.
 func (m *Miner) Get(id string) (MineSnapshot, error) {
-	m.mu.Lock()
-	j := m.jobs[id]
-	m.mu.Unlock()
-	if j == nil {
+	j, ok := m.rt.Job(id)
+	if !ok {
 		return MineSnapshot{}, fmt.Errorf("%w: %s", ErrUnknownMineJob, id)
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return cloneMineSnapshot(j.snap), nil
+	return mineSnapshot(j, true), nil
 }
 
 // List returns snapshots of every retained job in submission order, with
 // findings elided (fetch one job for its report).
 func (m *Miner) List() []MineSnapshot {
-	m.mu.Lock()
-	ids := append([]string(nil), m.order...)
-	jobs := make([]*mineJob, len(ids))
-	for i, id := range ids {
-		jobs[i] = m.jobs[id]
-	}
-	m.mu.Unlock()
-	out := make([]MineSnapshot, 0, len(jobs))
-	for _, j := range jobs {
-		j.mu.Lock()
-		snap := cloneMineSnapshot(j.snap)
-		j.mu.Unlock()
-		snap.Findings = nil
-		out = append(out, snap)
+	js := m.rt.Jobs()
+	out := make([]MineSnapshot, 0, len(js))
+	for _, j := range js {
+		out = append(out, mineSnapshot(j, false))
 	}
 	return out
 }
 
-// Cancel cancels a queued job (running sweeps are too short to interrupt;
-// cancelling one is a no-op that reports its current status).
+// Cancel cancels a sweep and returns its snapshot. A queued sweep is
+// cancelled at once; a running one stops at its checkpoint, after reading
+// the traffic and before ranking it; a terminal one is unchanged.
 func (m *Miner) Cancel(id string) (MineSnapshot, error) {
-	m.mu.Lock()
-	j := m.jobs[id]
-	m.mu.Unlock()
-	if j == nil {
+	j, ok := m.rt.Cancel(id)
+	if !ok {
 		return MineSnapshot{}, fmt.Errorf("%w: %s", ErrUnknownMineJob, id)
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.snap.Status == spec.StatusQueued {
-		close(j.stop)
-		j.snap.Status = spec.StatusCancelled
-		j.snap.Error = "cancelled"
-		j.snap.FinishedAt = time.Now()
-	}
-	return cloneMineSnapshot(j.snap), nil
+	return mineSnapshot(j, true), nil
 }
 
 // Submitted counts jobs accepted since the miner started.
-func (m *Miner) Submitted() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.submitted
-}
+func (m *Miner) Submitted() int64 { return m.rt.Submitted() }
 
-// Close drains the queue and stops the workers. Queued jobs still run;
-// Submit after Close fails with ErrMinerClosed.
-func (m *Miner) Close() {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
+// Close cancels queued and running sweeps and waits for the workers to
+// stop; Submit after Close fails with ErrMinerClosed. Idempotent.
+func (m *Miner) Close() { m.rt.Close() }
+
+// mineSnapshot copies one job's state, with its findings when
+// withFindings is set.
+func mineSnapshot(j *mineJob, withFindings bool) MineSnapshot {
+	j.Lock()
+	defer j.Unlock()
+	l := j.Life()
+	snap := MineSnapshot{
+		ID: l.ID, Spec: j.Data.spec, Status: l.Status, Error: l.Error,
+		SubmittedAt: l.SubmittedAt, StartedAt: l.StartedAt, FinishedAt: l.FinishedAt,
+		Swept: j.Data.swept,
 	}
-	m.closed = true
-	close(m.queue)
-	m.mu.Unlock()
-	m.wg.Wait()
-}
-
-func cloneMineSnapshot(snap MineSnapshot) MineSnapshot {
-	out := snap
-	out.Findings = make([]Finding, len(snap.Findings))
-	copy(out.Findings, snap.Findings)
-	return out
+	if withFindings {
+		snap.Findings = slices.Clone(j.Data.findings)
+	}
+	return snap
 }
 
 // rowKey identifies one exact (model, feature-vector) pair: FNV-1a over the
