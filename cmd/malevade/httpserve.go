@@ -64,13 +64,18 @@ func hardenedServer(handler http.Handler, t *httpTimeouts) *http.Server {
 // runHTTP is the shared serving loop: bind addr (":0" works — the banner
 // receives the bound address), serve handler on a hardened http.Server,
 // then block handling signals: SIGHUP invokes onHUP (ignored when nil),
-// SIGTERM/SIGINT drain within t.drain and return nil.
+// SIGTERM/SIGINT drain within t.drain and return nil. The signal handler
+// is installed before the banner announces the address, so a signal sent
+// by whoever reads the banner is always drained, never fatal.
 func runHTTP(name, addr string, handler http.Handler, t *httpTimeouts, log *slog.Logger, onHUP func(), banner func(bound string)) error {
 	log = obs.Or(log)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("%s: listen %s: %w", name, addr, err)
 	}
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, syscall.SIGHUP, syscall.SIGTERM, syscall.SIGINT)
+	defer signal.Stop(sigCh)
 	httpSrv := hardenedServer(handler, t)
 	errCh := make(chan error, 1)
 	go func() {
@@ -81,9 +86,6 @@ func runHTTP(name, addr string, handler http.Handler, t *httpTimeouts, log *slog
 	if banner != nil {
 		banner(ln.Addr().String())
 	}
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGHUP, syscall.SIGTERM, syscall.SIGINT)
-	defer signal.Stop(sigCh)
 	for {
 		select {
 		case err := <-errCh:

@@ -76,48 +76,56 @@ func TestHTTPTimeoutFlagDefaultsAreFinite(t *testing.T) {
 }
 
 // runHTTP must bind before serving so `-addr :0` learns the real port: the
-// banner's address has to be dialable. SIGTERM then drains it cleanly.
+// banner's address has to be dialable. SIGTERM then drains it cleanly. The
+// banner callback itself dials the address and sends the SIGTERM, the
+// earliest moment a supervisor that reads the banner could: runHTTP must
+// already be handling the signal by then, or it kills the test binary.
 func TestRunHTTPBindsPortZero(t *testing.T) {
-	boundCh := make(chan string, 1)
-	errCh := make(chan error, 1)
 	timeouts := &httpTimeouts{read: time.Second, write: time.Second, idle: time.Second, drain: time.Second}
+	var bound string
+	var status int
+	var dialErr, killErr error
+	banner := func(addr string) {
+		bound = addr
+		resp, err := http.Get("http://" + addr + "/")
+		if err != nil {
+			dialErr = err
+		} else {
+			status = resp.StatusCode
+			resp.Body.Close()
+		}
+		// Delivered process-wide, caught by runHTTP's Notify (this test
+		// must not run in parallel with another runHTTP loop).
+		killErr = syscall.Kill(os.Getpid(), syscall.SIGTERM)
+	}
+	errCh := make(chan error, 1)
 	go func() {
 		errCh <- runHTTP("test", "127.0.0.1:0", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprint(w, "pong")
-		}), timeouts, nil, nil, func(bound string) { boundCh <- bound })
+		}), timeouts, nil, nil, banner)
 	}()
-	var bound string
-	select {
-	case bound = <-boundCh:
-	case err := <-errCh:
-		t.Fatalf("runHTTP exited before announcing its address: %v", err)
-	case <-time.After(5 * time.Second):
-		t.Fatal("runHTTP never announced a bound address")
-	}
-	if strings.HasSuffix(bound, ":0") {
-		t.Fatalf("banner got %q; want the kernel-assigned port, not :0", bound)
-	}
-	resp, err := http.Get("http://" + bound + "/")
-	if err != nil {
-		t.Fatalf("dialing the announced address: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d from announced address", resp.StatusCode)
-	}
-	// Drain via the signal loop — delivered process-wide, caught by
-	// runHTTP's Notify (this test must not run in parallel with another
-	// runHTTP loop).
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
 	select {
 	case err := <-errCh:
 		if err != nil {
 			t.Fatalf("drain after SIGTERM: %v", err)
 		}
-	case <-time.After(5 * time.Second):
+	case <-time.After(10 * time.Second):
 		t.Fatal("runHTTP did not drain after SIGTERM")
+	}
+	if bound == "" {
+		t.Fatal("runHTTP never announced a bound address")
+	}
+	if strings.HasSuffix(bound, ":0") {
+		t.Fatalf("banner got %q; want the kernel-assigned port, not :0", bound)
+	}
+	if dialErr != nil {
+		t.Fatalf("dialing the announced address: %v", dialErr)
+	}
+	if status != http.StatusOK {
+		t.Fatalf("status %d from announced address", status)
+	}
+	if killErr != nil {
+		t.Fatal(killErr)
 	}
 }
 

@@ -256,17 +256,20 @@ func TrainSubstitute(ctx context.Context, oracle Oracle, seed *tensor.Matrix, cf
 		}
 
 		// Jacobian augmentation: x' = clamp(x + λ·sign(∂F_label/∂x)).
-		// The Jacobians come one row at a time (InputJacobian runs the
-		// train-time backward pass, which is single-caller); the oracle
-		// labels for the whole augmented block are then fetched in one
-		// batched query.
+		// One ClassGradient per class covers the whole block (each row's
+		// gradient is independent of the others); every row then steps
+		// along its own label's gradient, and the oracle labels for the
+		// whole augmented block are fetched in one batched query.
+		grads := make([]*tensor.Matrix, net.OutDim())
+		for c := range grads {
+			grads[c] = net.ClassGradient(x, c, 1)
+		}
 		augmented := tensor.New(x.Rows*2, inDim)
 		copy(augmented.Data[:len(x.Data)], x.Data)
 		for i := 0; i < x.Rows; i++ {
-			jac := net.InputJacobian(x.Row(i), 1)
 			dst := augmented.Row(x.Rows + i)
 			src := x.Row(i)
-			jRow := jac.Row(labels[i])
+			jRow := grads[labels[i]].Row(i)
 			for f := range dst {
 				step := 0.0
 				switch {

@@ -54,13 +54,15 @@ type Options struct {
 	// rather than an asynchronous job failure. A nil factory rejects
 	// TargetModel specs at submit time.
 	NamedTarget func(model string) (Target, error)
-	// CraftModel loads the default crafting model for specs with no
-	// CraftModelPath. Each call must return a network private to the
-	// caller (gradient crafting mutates per-network caches).
+	// CraftModel returns the default crafting model for specs with no
+	// CraftModelPath. It may return the same shared network to every
+	// campaign: crafting only reads the weights, so concurrent campaigns
+	// can attack one network, as long as nothing trains it meanwhile.
 	CraftModel func() (*nn.Network, error)
-	// NamedCraftModel loads the default crafting model for specs that
+	// NamedCraftModel returns the default crafting model for specs that
 	// name a TargetModel and no CraftModelPath — white-box on the named
-	// model's live version. Falls back to CraftModel when nil.
+	// model's live version, shared like CraftModel's. Falls back to
+	// CraftModel when nil.
 	NamedCraftModel func(model string) (*nn.Network, error)
 	// Sink, when non-nil, receives every campaign's durable event stream
 	// (accepted spec, judged batches, terminal snapshot) — the results
@@ -427,8 +429,7 @@ func (e *Engine) judge(ctx context.Context, j *job, target Target, x *tensor.Mat
 	return nil, 0, fmt.Errorf("campaign: target evaluation failed after %d retries: %w", e.opts.Retries, lastErr)
 }
 
-// craftModel resolves the spec's crafting model to a network private to
-// this job.
+// craftModel resolves the spec's crafting model.
 func (e *Engine) craftModel(spec Spec) (*nn.Network, error) {
 	var net *nn.Network
 	var err error
@@ -436,8 +437,7 @@ func (e *Engine) craftModel(spec Spec) (*nn.Network, error) {
 	case spec.CraftModelPath != "":
 		net, err = nn.LoadFile(spec.CraftModelPath)
 	case spec.TargetModel != "" && e.opts.NamedCraftModel != nil:
-		// White-box on the named registry model: craft on a private copy
-		// of its live version.
+		// White-box on the named registry model's live version.
 		net, err = e.opts.NamedCraftModel(spec.TargetModel)
 	case e.opts.CraftModel != nil:
 		net, err = e.opts.CraftModel()

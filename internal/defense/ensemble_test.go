@@ -1,6 +1,7 @@
 package defense
 
 import (
+	"sync"
 	"testing"
 
 	"malevade/internal/attack"
@@ -9,16 +10,19 @@ import (
 	"malevade/internal/evaluation"
 )
 
-func ensembleMembers(t *testing.T) (advTrained *detector.DNN, dimRed *DimReduction) {
-	t.Helper()
+// ensembleMembers returns the adversarially trained and the
+// dimensionality-reduced member the ensemble tests combine. Both fits are
+// deterministic and the tests only read them, so they are built once per
+// test binary, like defBase.
+var ensembleMembers = sync.OnceValues(func() (*detector.DNN, *DimReduction) {
 	trainMal := defCorpus.Train.FilterLabel(dataset.LabelMalware)
 	j := &attack.JSMA{Model: defBase.Net, Theta: 0.1, Gamma: 0.02}
 	advX := attack.AdvMatrix(j.Run(trainMal.X))
 	sets, err := BuildAdvTrainingSet(defCorpus.Train, advX)
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	advTrained, err = AdversarialTraining(sets, detector.TrainConfig{
+	advTrained, err := AdversarialTraining(sets, detector.TrainConfig{
 		Arch:       detector.ArchTarget,
 		WidthScale: 0.1,
 		Epochs:     15,
@@ -26,9 +30,9 @@ func ensembleMembers(t *testing.T) (advTrained *detector.DNN, dimRed *DimReducti
 		Seed:       43,
 	})
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	dimRed, err = NewDimReduction(defCorpus.Train, DimReductionConfig{
+	dimRed, err := NewDimReduction(defCorpus.Train, DimReductionConfig{
 		K: 19,
 		Train: detector.TrainConfig{
 			Arch:       detector.ArchTarget,
@@ -39,10 +43,10 @@ func ensembleMembers(t *testing.T) (advTrained *detector.DNN, dimRed *DimReducti
 		},
 	})
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
 	return advTrained, dimRed
-}
+})
 
 func TestNewEnsembleValidation(t *testing.T) {
 	if _, err := NewEnsemble(EnsembleMean); err == nil {
@@ -71,7 +75,7 @@ func TestEnsembleModeString(t *testing.T) {
 // made concrete: the ensemble's advEx detection should match or beat the
 // weaker member while keeping TNR above the worst member's.
 func TestEnsembleAdvTrainingPlusDimReduction(t *testing.T) {
-	advTrained, dimRed := ensembleMembers(t)
+	advTrained, dimRed := ensembleMembers()
 	ens, err := NewEnsemble(EnsembleMaxProb, advTrained, dimRed)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +97,7 @@ func TestEnsembleAdvTrainingPlusDimReduction(t *testing.T) {
 }
 
 func TestEnsembleModesAgreeOnShape(t *testing.T) {
-	advTrained, dimRed := ensembleMembers(t)
+	advTrained, dimRed := ensembleMembers()
 	for _, mode := range []EnsembleMode{EnsembleMean, EnsembleMaxProb, EnsembleMajority} {
 		ens, err := NewEnsemble(mode, advTrained, dimRed)
 		if err != nil {
@@ -119,7 +123,7 @@ func TestEnsembleModesAgreeOnShape(t *testing.T) {
 }
 
 func TestEnsembleMajorityTieIsMalware(t *testing.T) {
-	advTrained, dimRed := ensembleMembers(t)
+	advTrained, dimRed := ensembleMembers()
 	ens, err := NewEnsemble(EnsembleMajority, advTrained, dimRed)
 	if err != nil {
 		t.Fatal(err)

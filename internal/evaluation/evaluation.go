@@ -103,7 +103,9 @@ type Curve struct {
 	Pts   []CurvePoint
 }
 
-// SweepSpec defines a security-curve sweep.
+// SweepSpec defines a security-curve sweep. One spec serves serial and
+// concurrent sweeps alike: its attacks may all craft on one shared
+// network, since input gradients only read the weights.
 type SweepSpec struct {
 	// Name labels the resulting curve.
 	Name string
@@ -111,23 +113,15 @@ type SweepSpec struct {
 	Param string
 	// Values are the strengths to evaluate.
 	Values []float64
-	// MakeAttack builds the attack for a given strength value.
+	// MakeAttack builds the attack for a given strength value. Sweep may
+	// call it from several goroutines at once, and the attacks it builds
+	// may share one crafting network: gradients and scoring only read the
+	// weights.
 	MakeAttack func(strength float64) attack.Attack
-	// MakeWorkerAttack, when non-nil, enables the parallel sweep: Sweep
-	// fans strengths out across min(GOMAXPROCS, len(Values)) worker
-	// goroutines and calls MakeWorkerAttack once per worker to obtain
-	// that worker's attack factory. The factory must bind any state the
-	// attack mutates — in particular, gradient-based attacks cache
-	// activations in their crafting network, so each worker needs its
-	// own nn.Network Clone. Target must then be safe for concurrent
-	// scoring (detector.DNN and serve.Scorer are). Curve points come
-	// back in Values order regardless of scheduling, and every attack in
-	// this repository is deterministic per strength, so the resulting
-	// curve is identical to a serial sweep.
-	MakeWorkerAttack func() func(strength float64) attack.Attack
 	// Target scores the crafted adversarial examples. In the white-box
 	// setting it is the crafting model; in grey/black-box settings it
-	// differs.
+	// differs. Unless the sweep is serial it must be safe for concurrent
+	// scoring (detector.DNN and serve.Scorer are).
 	Target detector.Detector
 	// Transform optionally maps crafted adversarial feature rows into
 	// the target's feature space (the binary→count replay of the
@@ -136,21 +130,23 @@ type SweepSpec struct {
 }
 
 // Sweep runs the attack at every strength against the malware matrix and
-// returns the security evaluation curve. With MakeWorkerAttack set, sweep
-// points fan out across the available cores; otherwise they run serially
-// via MakeAttack.
-func Sweep(spec SweepSpec, malware *tensor.Matrix) (*Curve, error) {
-	if (spec.MakeAttack == nil && spec.MakeWorkerAttack == nil) || spec.Target == nil {
-		return nil, fmt.Errorf("evaluation: sweep %q needs MakeAttack (or MakeWorkerAttack) and Target", spec.Name)
+// returns the security evaluation curve. Strengths fan out across the
+// available cores, or run strictly in order when serial is true; curve
+// points come back in Values order either way, and every attack in this
+// repository is deterministic per strength, so the curve does not depend
+// on scheduling.
+func Sweep(spec SweepSpec, malware *tensor.Matrix, serial bool) (*Curve, error) {
+	if spec.MakeAttack == nil || spec.Target == nil {
+		return nil, fmt.Errorf("evaluation: sweep %q needs MakeAttack and Target", spec.Name)
 	}
 	if len(spec.Values) == 0 {
 		return nil, fmt.Errorf("evaluation: sweep %q has no strengths", spec.Name)
 	}
 	curve := &Curve{Name: spec.Name, Param: spec.Param}
 	curve.Pts = make([]CurvePoint, len(spec.Values))
-	point := func(mk func(strength float64) attack.Attack, i int) {
+	FanOut(len(spec.Values), serial, func(i int) {
 		v := spec.Values[i]
-		results := mk(v).Run(malware)
+		results := spec.MakeAttack(v).Run(malware)
 		stats := attack.Summarize(results)
 		adv := attack.AdvMatrix(results)
 		if spec.Transform != nil {
@@ -166,33 +162,21 @@ func Sweep(spec SweepSpec, malware *tensor.Matrix) (*Curve, error) {
 			MeanL2:             stats.MeanL2,
 			MeanModified:       stats.MeanModified,
 		}
-	}
-	if spec.MakeWorkerAttack == nil {
-		for i := range spec.Values {
-			point(spec.MakeAttack, i)
-		}
-		return curve, nil
-	}
-	FanOut(len(spec.Values), false, func() func(i int) {
-		mk := spec.MakeWorkerAttack()
-		return func(i int) { point(mk, i) }
 	})
 	return curve, nil
 }
 
 // FanOut runs point(i) for every i in [0,n) across min(GOMAXPROCS, n)
-// worker goroutines — or strictly in order when serial is true. makeWorker
-// is called once per worker to bind per-worker state (e.g. a cloned
-// crafting network); the returned point functions must write results into
-// index-addressed slots, which keeps output identical to a serial run.
-// Sweep and the experiment drivers share this scaffold.
-func FanOut(n int, serial bool, makeWorker func() func(i int)) {
+// worker goroutines — or strictly in order when serial is true. point must
+// write its result into an index-addressed slot, which keeps output
+// identical to a serial run. Sweep and the experiment drivers share this
+// scaffold.
+func FanOut(n int, serial bool, point func(i int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}
 	if serial || workers <= 1 {
-		point := makeWorker()
 		for i := 0; i < n; i++ {
 			point(i)
 		}
@@ -204,7 +188,6 @@ func FanOut(n int, serial bool, makeWorker func() func(i int)) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			point := makeWorker()
 			for i := range idx {
 				point(i)
 			}

@@ -94,7 +94,7 @@ func TestSweepWhiteBoxCurveShape(t *testing.T) {
 			return &attack.JSMA{Model: evalModel.Net, Theta: 0.1, Gamma: g}
 		},
 		Target: evalModel,
-	}, mal.X)
+	}, mal.X, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,20 +124,20 @@ func TestSweepWhiteBoxCurveShape(t *testing.T) {
 
 func TestSweepValidation(t *testing.T) {
 	mal := evalCorpus.Test.FilterLabel(dataset.LabelMalware)
-	if _, err := Sweep(SweepSpec{Name: "x", Target: evalModel}, mal.X); err == nil {
+	if _, err := Sweep(SweepSpec{Name: "x", Target: evalModel}, mal.X, false); err == nil {
 		t.Fatal("expected MakeAttack error")
 	}
 	if _, err := Sweep(SweepSpec{
 		Name:       "x",
 		MakeAttack: func(float64) attack.Attack { return nil },
-	}, mal.X); err == nil {
+	}, mal.X, false); err == nil {
 		t.Fatal("expected Target error")
 	}
 	if _, err := Sweep(SweepSpec{
 		Name:       "x",
 		MakeAttack: func(float64) attack.Attack { return nil },
 		Target:     evalModel,
-	}, mal.X); err == nil {
+	}, mal.X, false); err == nil {
 		t.Fatal("expected empty-values error")
 	}
 }
@@ -158,7 +158,7 @@ func TestSweepTransform(t *testing.T) {
 		Transform: func(_, original []float64) []float64 {
 			return original
 		},
-	}, sub.X)
+	}, sub.X, false)
 	if err != nil {
 		t.Fatal(err)
 	}

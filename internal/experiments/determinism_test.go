@@ -37,8 +37,8 @@ func TestArtifactsDeterministicSerialVsConcurrent(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 
 	// table1 is the issue's golden (corpus generation only); fig3a covers
-	// the full concurrent surface: parallel sweeps, cloned crafting
-	// models and engine-backed evasion scoring.
+	// the full concurrent surface: parallel sweeps crafting on one shared
+	// model and engine-backed evasion scoring.
 	for _, id := range []string{"table1", "fig3a"} {
 		runtime.GOMAXPROCS(1)
 		serial := runArtifact(t, serialLab, id)

@@ -92,32 +92,6 @@ func activeCount(x []float64) int {
 	return n
 }
 
-// craftSweep wires a sweep's attack construction for the lab's concurrency
-// mode: serial labs bind the shared crafting network; concurrent labs give
-// each sweep worker its own Clone, because gradient-based crafting mutates
-// per-network activation caches. Exactly one of the two returned factories
-// is non-nil (they slot into SweepSpec.MakeAttack / MakeWorkerAttack).
-func craftSweep(l *Lab, craft *nn.Network, mk func(net *nn.Network, v float64) attack.Attack) (
-	func(v float64) attack.Attack, func() func(v float64) attack.Attack) {
-	if l.Serial {
-		return func(v float64) attack.Attack { return mk(craft, v) }, nil
-	}
-	return nil, func() func(v float64) attack.Attack {
-		net := craft.Clone()
-		return func(v float64) attack.Attack { return mk(net, v) }
-	}
-}
-
-// forEachPoint fans grid indices out across the available cores — or runs
-// them in order for Serial labs. makeWorker returns one worker's point
-// function, binding any cloned crafting models; point functions write
-// results into index-addressed slots, so output ordering (and, since every
-// attack here is deterministic per strength, content) is identical either
-// way.
-func (l *Lab) forEachPoint(n int, makeWorker func() func(i int)) {
-	evaluation.FanOut(n, l.Serial, makeWorker)
-}
-
 // Figure3a is the white-box γ sweep at θ=0.1 with the random-addition
 // control ("randomly adding features does not decrease the detection
 // rates").
@@ -130,31 +104,27 @@ func Figure3a(l *Lab, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	mkJSMA, mkJSMAWorker := craftSweep(l, target.Net, func(net *nn.Network, g float64) attack.Attack {
-		return &attack.JSMA{Model: net, Theta: 0.1, Gamma: g}
-	})
 	jsmaCurve, err := evaluation.Sweep(evaluation.SweepSpec{
-		Name:             "JSMA",
-		Param:            "gamma",
-		Values:           gammaGrid,
-		MakeAttack:       mkJSMA,
-		MakeWorkerAttack: mkJSMAWorker,
-		Target:           target,
-	}, mal.X)
+		Name:   "JSMA",
+		Param:  "gamma",
+		Values: gammaGrid,
+		MakeAttack: func(g float64) attack.Attack {
+			return &attack.JSMA{Model: target.Net, Theta: 0.1, Gamma: g}
+		},
+		Target: target,
+	}, mal.X, l.Serial)
 	if err != nil {
 		return err
 	}
-	mkRand, mkRandWorker := craftSweep(l, target.Net, func(net *nn.Network, g float64) attack.Attack {
-		return &attack.RandomAdd{Model: net, Theta: 0.1, Gamma: g, Seed: l.Profile.Seed + 41}
-	})
 	randCurve, err := evaluation.Sweep(evaluation.SweepSpec{
-		Name:             "random add",
-		Param:            "gamma",
-		Values:           gammaGrid,
-		MakeAttack:       mkRand,
-		MakeWorkerAttack: mkRandWorker,
-		Target:           target,
-	}, mal.X)
+		Name:   "random add",
+		Param:  "gamma",
+		Values: gammaGrid,
+		MakeAttack: func(g float64) attack.Attack {
+			return &attack.RandomAdd{Model: target.Net, Theta: 0.1, Gamma: g, Seed: l.Profile.Seed + 41}
+		},
+		Target: target,
+	}, mal.X, l.Serial)
 	if err != nil {
 		return err
 	}
@@ -172,17 +142,15 @@ func Figure3b(l *Lab, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	mk, mkWorker := craftSweep(l, target.Net, func(net *nn.Network, th float64) attack.Attack {
-		return &attack.JSMA{Model: net, Theta: th, Gamma: 0.025}
-	})
 	curve, err := evaluation.Sweep(evaluation.SweepSpec{
-		Name:             "JSMA",
-		Param:            "theta",
-		Values:           thetaGrid,
-		MakeAttack:       mk,
-		MakeWorkerAttack: mkWorker,
-		Target:           target,
-	}, mal.X)
+		Name:   "JSMA",
+		Param:  "theta",
+		Values: thetaGrid,
+		MakeAttack: func(th float64) attack.Attack {
+			return &attack.JSMA{Model: target.Net, Theta: th, Gamma: 0.025}
+		},
+		Target: target,
+	}, mal.X, l.Serial)
 	if err != nil {
 		return err
 	}
@@ -222,15 +190,13 @@ func greyBoxSweep(l *Lab, w io.Writer, title, param string, grid []float64,
 	if err != nil {
 		return err
 	}
-	mkAttack, mkWorker := craftSweep(l, sub.Net, mk)
 	targetCurve, err := evaluation.Sweep(evaluation.SweepSpec{
-		Name:             "target model",
-		Param:            param,
-		Values:           grid,
-		MakeAttack:       mkAttack,
-		MakeWorkerAttack: mkWorker,
-		Target:           target,
-	}, mal.X)
+		Name:       "target model",
+		Param:      param,
+		Values:     grid,
+		MakeAttack: func(v float64) attack.Attack { return mk(sub.Net, v) },
+		Target:     target,
+	}, mal.X, l.Serial)
 	if err != nil {
 		return err
 	}
@@ -277,35 +243,29 @@ func Figure4c(l *Lab, w io.Writer) error {
 		Pts: make([]evaluation.CurvePoint, len(gammaGrid))}
 	subCurve := &evaluation.Curve{Name: "substitute (binary)", Param: "gamma",
 		Pts: make([]evaluation.CurvePoint, len(gammaGrid))}
-	l.forEachPoint(len(gammaGrid), func() func(pi int) {
-		craft := bsub.Net
-		if !l.Serial {
-			craft = craft.Clone() // JSMA gradients need a per-worker network
-		}
-		return func(pi int) {
-			g := gammaGrid[pi]
-			j := &attack.JSMA{Model: craft, Theta: 1.0, Gamma: g} // binary: set to 1
-			results := j.Run(binView.X)
-			stats := attack.Summarize(results)
+	evaluation.FanOut(len(gammaGrid), l.Serial, func(pi int) {
+		g := gammaGrid[pi]
+		j := &attack.JSMA{Model: bsub.Net, Theta: 1.0, Gamma: g} // binary: set to 1
+		results := j.Run(binView.X)
+		stats := attack.Summarize(results)
 
-			// Replay in the target's count space: each newly set API is
-			// "added once" to the sample's raw counts.
-			advTarget := mal.X.Clone()
-			for i, r := range results {
-				counts := append([]float64(nil), mal.Counts.Row(i)...)
-				for _, f := range r.ModifiedFeatures {
-					counts[f]++
-				}
-				copy(advTarget.Row(i), dataset.Normalize(counts))
+		// Replay in the target's count space: each newly set API is
+		// "added once" to the sample's raw counts.
+		advTarget := mal.X.Clone()
+		for i, r := range results {
+			counts := append([]float64(nil), mal.Counts.Row(i)...)
+			for _, f := range r.ModifiedFeatures {
+				counts[f]++
 			}
-			targetCurve.Pts[pi] = evaluation.CurvePoint{
-				Strength:      g,
-				DetectionRate: detector.DetectionRate(target, advTarget),
-			}
-			subCurve.Pts[pi] = evaluation.CurvePoint{
-				Strength:      g,
-				DetectionRate: 1 - stats.EvasionRate,
-			}
+			copy(advTarget.Row(i), dataset.Normalize(counts))
+		}
+		targetCurve.Pts[pi] = evaluation.CurvePoint{
+			Strength:      g,
+			DetectionRate: detector.DetectionRate(target, advTarget),
+		}
+		subCurve.Pts[pi] = evaluation.CurvePoint{
+			Strength:      g,
+			DetectionRate: 1 - stats.EvasionRate,
 		}
 	})
 	if err := renderCurves(w, "FIGURE 4(c): GREY-BOX WITH BINARY FEATURES (theta=0.100)",
@@ -335,22 +295,16 @@ func Figure5(l *Lab, w io.Writer) error {
 	}
 	clean := c.Test.FilterLabel(dataset.LabelClean)
 
-	render := func(title, param string, grid []float64, mk func(net *nn.Network, v float64) *attack.JSMA) error {
+	render := func(title, param string, grid []float64, mk func(v float64) *attack.JSMA) error {
 		series := []report.Series{
 			{Name: "d(malware, advEx)"},
 			{Name: "d(malware, clean)"},
 			{Name: "d(clean, advEx)"},
 		}
 		analyses := make([]evaluation.L2Analysis, len(grid))
-		l.forEachPoint(len(grid), func() func(pi int) {
-			craft := sub.Net
-			if !l.Serial {
-				craft = craft.Clone()
-			}
-			return func(pi int) {
-				v := grid[pi]
-				analyses[pi] = evaluation.AnalyzeL2(v, mk(craft, v).Run(mal.X), clean.X)
-			}
+		evaluation.FanOut(len(grid), l.Serial, func(pi int) {
+			v := grid[pi]
+			analyses[pi] = evaluation.AnalyzeL2(v, mk(v).Run(mal.X), clean.X)
 		})
 		for i, an := range analyses {
 			v := grid[i]
@@ -365,14 +319,14 @@ func Figure5(l *Lab, w io.Writer) error {
 		return chart.Render(w)
 	}
 	if err := render("FIGURE 5(a): L2 DISTANCES, GREY-BOX (theta=0.100)", "gamma", gammaGrid,
-		func(net *nn.Network, v float64) *attack.JSMA {
-			return &attack.JSMA{Model: net, Theta: 0.1, Gamma: v}
+		func(v float64) *attack.JSMA {
+			return &attack.JSMA{Model: sub.Net, Theta: 0.1, Gamma: v}
 		}); err != nil {
 		return err
 	}
 	return render("FIGURE 5(b): L2 DISTANCES, GREY-BOX (gamma=0.005)", "theta", thetaGrid,
-		func(net *nn.Network, v float64) *attack.JSMA {
-			return &attack.JSMA{Model: net, Theta: v, Gamma: 0.005}
+		func(v float64) *attack.JSMA {
+			return &attack.JSMA{Model: sub.Net, Theta: v, Gamma: 0.005}
 		})
 }
 

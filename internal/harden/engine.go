@@ -44,7 +44,9 @@ type Models interface {
 	Get(name string) (registry.Info, error)
 	// Register ingests (and optionally promotes) a model file.
 	Register(req registry.RegisterRequest) (registry.Info, error)
-	// LoadLive returns a private copy of the model's live network.
+	// LoadLive returns the model's live network. It may be shared with
+	// the model's scoring engine: the controller only reads it, to save
+	// the job's crafting snapshot file.
 	LoadLive(name string) (*nn.Network, error)
 	// GC drops unpinned, non-live versions of the model.
 	GC(name string) (registry.Info, int, error)

@@ -26,7 +26,9 @@ func numericalParamGrad(net *Network, loss Loss, x, targets *tensor.Matrix, p *P
 }
 
 func analyticParamGrads(net *Network, loss Loss, x, targets *tensor.Matrix) {
-	net.ZeroGrads()
+	for _, p := range net.Params() {
+		p.Grad.Zero()
+	}
 	logits := net.Forward(x, false)
 	grad := loss.Gradient(logits, targets)
 	net.Backward(grad)
@@ -152,13 +154,16 @@ func TestGradientCheckDropoutNetInference(t *testing.T) {
 // m[i] ∈ {0, 1/(1-rate)}, and the keep fraction must match the rate.
 func TestDropoutTrainingGradient(t *testing.T) {
 	const rate = 0.3
-	l := NewDropout(rate, rng.New(35))
+	net, err := NewNetwork(25, NewDropout(rate, rng.New(35)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := rng.New(36)
 	x := tensor.New(20, 25)
 	for i := range x.Data {
 		x.Data[i] = 1 + r.Float64() // bounded away from 0 so masks are visible
 	}
-	out := l.Forward(x, true)
+	out := net.Forward(x, true)
 
 	scale := 1 / (1 - rate)
 	kept := 0
@@ -182,7 +187,7 @@ func TestDropoutTrainingGradient(t *testing.T) {
 	for i := range g.Data {
 		g.Data[i] = r.NormFloat64()
 	}
-	back := l.Backward(g)
+	back := net.Backward(g)
 	for i, v := range back.Data {
 		if want := g.Data[i] * mask[i]; v != want {
 			t.Fatalf("grad %d = %v, want %v (same mask as Forward)", i, v, want)
@@ -190,11 +195,17 @@ func TestDropoutTrainingGradient(t *testing.T) {
 	}
 
 	// Inference mode must reset to exact pass-through in both directions.
-	if inf := l.Forward(x, false); &inf.Data[0] != &x.Data[0] {
-		t.Fatal("inference Forward should be the identity (no copy)")
+	inf := net.Forward(x, false)
+	for i, v := range inf.Data {
+		if v != x.Data[i] {
+			t.Fatalf("inference Forward should be the identity: %d is %v, want %v", i, v, x.Data[i])
+		}
 	}
-	if back := l.Backward(g); &back.Data[0] != &g.Data[0] {
-		t.Fatal("inference Backward should pass the gradient through")
+	back = net.Backward(g)
+	for i, v := range back.Data {
+		if v != g.Data[i] {
+			t.Fatalf("inference Backward should pass the gradient through: %d is %v, want %v", i, v, g.Data[i])
+		}
 	}
 }
 
@@ -272,28 +283,27 @@ func TestClassGradientLeavesParamsClean(t *testing.T) {
 	}
 }
 
-// TestInputJacobianRowsMatchClassGradient ties the two gradient APIs
-// together.
-func TestInputJacobianRowsMatchClassGradient(t *testing.T) {
-	net, err := NewMLP(MLPConfig{Dims: []int{5, 7, 3}, Activation: "relu", Seed: 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(18)
-	x := make([]float64, 5)
-	for i := range x {
-		x[i] = r.Float64()
-	}
-	jac := net.InputJacobian(x, 1)
-	if jac.Rows != 3 || jac.Cols != 5 {
-		t.Fatalf("Jacobian shape %dx%d, want 3x5", jac.Rows, jac.Cols)
-	}
-	xm := tensor.FromSlice(1, 5, append([]float64(nil), x...))
-	for c := 0; c < 3; c++ {
-		g := net.ClassGradient(xm, c, 1)
-		for j := 0; j < 5; j++ {
-			if math.Abs(jac.At(c, j)-g.At(0, j)) > 1e-12 {
-				t.Fatalf("Jacobian row %d disagrees with ClassGradient", c)
+// TestClassGradientBatchRowsMatchSingleRows pins the row independence that
+// batched crafting relies on: JSMA takes one gradient over every active
+// sample and black-box augmentation one per class over the whole block, so
+// a batch's ClassGradient must equal each row's own, bit for bit.
+func TestClassGradientBatchRowsMatchSingleRows(t *testing.T) {
+	for _, act := range []string{"relu", "sigmoid", "tanh"} {
+		net, err := NewMLP(MLPConfig{Dims: []int{5, 7, 6, 3}, Activation: act, DropoutRate: 0.2, Seed: 17})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := randomInput(18, 6, 5)
+		for c := 0; c < 3; c++ {
+			batch := net.ClassGradient(x, c, 2)
+			for i := 0; i < x.Rows; i++ {
+				row := tensor.FromSlice(1, 5, append([]float64(nil), x.Row(i)...))
+				single := net.ClassGradient(row, c, 2)
+				for j, v := range single.Data {
+					if got := batch.At(i, j); got != v {
+						t.Fatalf("%s class %d row %d feature %d: batch %v, alone %v", act, c, i, j, got, v)
+					}
+				}
 			}
 		}
 	}
@@ -317,5 +327,19 @@ func TestClassGradientsSumToZero(t *testing.T) {
 	}
 	if m := sum.MaxAbs(); m > 1e-10 {
 		t.Fatalf("Σ_c ∂F_c/∂x = %v, want 0", m)
+	}
+}
+
+// BenchmarkClassGradient times one JSMA step's forward derivative on the
+// 491-512-256-2 target shape with 4 rows.
+func BenchmarkClassGradient(b *testing.B) {
+	net, err := NewMLP(MLPConfig{Dims: []int{491, 512, 256, 2}, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := randomInput(2, 4, 491)
+	b.ReportAllocs()
+	for b.Loop() {
+		net.ClassGradient(x, 0, 1)
 	}
 }

@@ -199,11 +199,10 @@ func TestPlan32CompileErrors(t *testing.T) {
 // opaqueLayer is a Layer the compiler has never heard of.
 type opaqueLayer struct{}
 
-func (*opaqueLayer) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix { return x }
-func (*opaqueLayer) Backward(g *tensor.Matrix) *tensor.Matrix        { return g }
-func (*opaqueLayer) InferInto(dst, x *tensor.Matrix)                 { copy(dst.Data, x.Data) }
-func (*opaqueLayer) Params() []*Param                                { return nil }
-func (*opaqueLayer) OutDim(inDim int) (int, error)                   { return inDim, nil }
+func (*opaqueLayer) InferInto(dst, x *tensor.Matrix)              { copy(dst.Data, x.Data) }
+func (*opaqueLayer) Backward(dx, dy, _, _ *tensor.Matrix, _ bool) { copy(dx.Data, dy.Data) }
+func (*opaqueLayer) Params() []*Param                             { return nil }
+func (*opaqueLayer) OutDim(inDim int) (int, error)                { return inDim, nil }
 
 func TestPlan32InputWidthPanics(t *testing.T) {
 	net, _ := NewMLP(MLPConfig{Dims: []int{4, 3, 2}, Seed: 1})

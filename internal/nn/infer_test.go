@@ -1,8 +1,10 @@
 package nn
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"malevade/internal/rng"
 	"malevade/internal/tensor"
@@ -121,11 +123,10 @@ func TestInferConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestConcurrentProbsWithSingleGradientUser models the attack loops' actual
-// sharing pattern: one goroutine runs the train-path gradient machinery
-// (ClassGradient: Forward+Backward) while concurrent readers score through
-// the workspace path. The reader results must stay exact; -race guards the
-// rest.
+// TestConcurrentProbsWithSingleGradientUser models a crafting loop next to
+// live scoring: one goroutine takes input gradients (ClassGradient) while
+// concurrent readers score through the workspace path. The reader results
+// must stay exact; -race guards the rest.
 func TestConcurrentProbsWithSingleGradientUser(t *testing.T) {
 	net, err := NewMLP(MLPConfig{Dims: []int{7, 10, 2}, Seed: 61})
 	if err != nil {
@@ -171,4 +172,77 @@ func TestConcurrentProbsWithSingleGradientUser(t *testing.T) {
 	if msg, ok := <-errs; ok {
 		t.Fatal(msg)
 	}
+}
+
+// TestSharedWeightsGradientHammer shares one network among eight goroutines
+// that take input gradients at once, mixed with pooled scoring: each must
+// get the serial result, bit for bit. Gradients keep their activations in
+// per-call workspaces, so crafting needs no private copy of the network.
+// Run with -race.
+func TestSharedWeightsGradientHammer(t *testing.T) {
+	net, err := NewMLP(MLPConfig{Dims: []int{11, 16, 9, 2}, Activation: "tanh", Seed: 43})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 8
+	const iters = 30
+	inputs := make([]*tensor.Matrix, goroutines)
+	want := make([]*tensor.Matrix, goroutines)
+	for g := range inputs {
+		inputs[g] = randomInput(uint64(70+g), 1+g, 11)
+		want[g] = net.ClassGradient(inputs[g], g%2, 1)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for it := 0; it < iters; it++ {
+				got := net.ClassGradient(inputs[g], g%2, 1)
+				for i, v := range want[g].Data {
+					if got.Data[i] != v {
+						errs <- "ClassGradient diverged under concurrency"
+						return
+					}
+				}
+				net.Probs(inputs[g], 1)
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	if msg, ok := <-errs; ok {
+		t.Fatal(msg)
+	}
+}
+
+// TestSharedWeightsPoolReleasesNetwork drops a network after its pooled
+// entry points and ClassGradient have been used: one garbage collection
+// must free it. The runtime keeps a used sync.Pool registered for two more
+// collections, so a pool inside the Network, or a pooled workspace that
+// pointed back at it, would keep the network and its weights alive that
+// long — for every model a daemon or campaign loads and drops.
+func TestSharedWeightsPoolReleasesNetwork(t *testing.T) {
+	wp := usedNetwork(t)
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("network still reachable after its last reference was dropped and one GC ran")
+	}
+}
+
+// usedNetwork builds a network, runs every pooled entry point on it, and
+// returns only a weak pointer to it.
+func usedNetwork(t *testing.T) weak.Pointer[Network] {
+	t.Helper()
+	net, err := NewMLP(MLPConfig{Dims: []int{9, 12, 2}, Seed: 45})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := randomInput(46, 3, 9)
+	net.Logits(x)
+	net.Probs(x, 1)
+	net.PredictClass(x)
+	net.ClassGradient(x, 0, 1)
+	return weak.Make(net)
 }

@@ -9,12 +9,13 @@
 // stdlib-only. It is sized for the paper's workload (hundreds of thousands
 // of 491-dimensional samples), not for general deep learning.
 //
-// State is split into immutable shared weights and per-caller scratch: the
-// inference path (Network.Infer with an explicit Workspace, or the pooled
-// Logits/Probs/PredictClass) is safe for any number of concurrent readers,
-// while the train-time Forward/Backward pair caches activations in the
-// layers and stays single-caller. See the Network doc for the full
-// contract.
+// State is split into shared weights and per-caller scratch: layers hold
+// only their parameters, and every pass keeps its activations in a
+// Workspace. Inference (Network.Infer with an explicit Workspace, or the
+// pooled Logits/Probs/PredictClass) and input gradients (ClassGradient)
+// are therefore safe for any number of concurrent callers on one network;
+// only training, through the network's own Forward/Backward workspace,
+// stays single-caller. See the Network doc for the full contract.
 package nn
 
 import (
@@ -32,24 +33,21 @@ type Param struct {
 	Grad  *tensor.Matrix
 }
 
-// Layer is one differentiable stage of a network. Forward must cache
-// whatever Backward needs; Backward consumes the cache of the most recent
-// Forward call and returns the gradient with respect to that input.
-// Forward and Backward are the train-time path and are not safe for
-// concurrent use; InferInto is the shared-read inference path and is.
+// Layer is one differentiable stage of a network. A layer holds only its
+// parameters: the input and output of a pass live in the caller's
+// Workspace and are handed to both methods, so any number of goroutines
+// may run one shared layer, each with its own buffers, as long as nobody
+// is mutating the parameters.
 type Layer interface {
-	// Forward computes the layer output for a batch (rows are samples).
-	// training selects training-time behaviour (e.g. dropout masking).
-	Forward(x *tensor.Matrix, training bool) *tensor.Matrix
-	// Backward receives dLoss/dOutput and returns dLoss/dInput,
-	// accumulating parameter gradients as a side effect.
-	Backward(grad *tensor.Matrix) *tensor.Matrix
-	// InferInto writes the layer's inference-mode output for x into dst
-	// (pre-sized to x.Rows × OutDim by the caller). It must only read
-	// parameters — never touch the train-time caches — so any number of
-	// goroutines may InferInto one shared layer concurrently, each with
-	// its own dst, as long as nobody is mutating the parameters.
+	// InferInto writes the layer's output for x into dst (pre-sized to
+	// x.Rows × OutDim by the caller). Dropout is the identity here; the
+	// network applies its training mask.
 	InferInto(dst, x *tensor.Matrix)
+	// Backward writes dLoss/dx into dx given dLoss/dy, for the pass that
+	// read x and wrote y. With params set it also accumulates the
+	// parameter gradients into each Param's Grad; without it, it only
+	// reads the parameters.
+	Backward(dx, dy, x, y *tensor.Matrix, params bool)
 	// Params returns the layer's trainable parameters (nil if none).
 	Params() []*Param
 	// OutDim returns the width of the layer's output given its input
@@ -63,9 +61,6 @@ type Dense struct {
 	B *Param
 
 	in, out int
-	lastX   *tensor.Matrix // cached input batch
-	outBuf  *tensor.Matrix
-	gradIn  *tensor.Matrix
 }
 
 var _ Layer = (*Dense)(nil)
@@ -94,53 +89,28 @@ func heStd(fanIn int) float64 {
 	return sqrt(2 / float64(fanIn))
 }
 
-// Forward computes y = xW + b for a batch.
-func (d *Dense) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
-	if x.Cols != d.in {
-		panic(fmt.Sprintf("nn: Dense input width %d, want %d", x.Cols, d.in))
-	}
-	d.lastX = x
-	if d.outBuf == nil || d.outBuf.Rows != x.Rows {
-		d.outBuf = tensor.New(x.Rows, d.out)
-	}
-	tensor.MatMul(d.outBuf, x, d.W.Value)
-	tensor.AddRowVector(d.outBuf, d.B.Value.Row(0))
-	return d.outBuf
-}
-
-// Backward accumulates dW = xᵀg, db = Σ_rows g and returns g Wᵀ.
-func (d *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	if d.lastX == nil {
-		panic("nn: Dense.Backward before Forward")
-	}
-	if grad.Rows != d.lastX.Rows || grad.Cols != d.out {
-		panic(fmt.Sprintf("nn: Dense.Backward grad %dx%d, want %dx%d", grad.Rows, grad.Cols, d.lastX.Rows, d.out))
-	}
-	// Parameter gradients accumulate so gradient checks can sum batches;
-	// the optimizer zeroes them after each step.
-	wg := tensor.New(d.in, d.out)
-	tensor.MatMulAT(wg, d.lastX, grad)
-	tensor.AXPY(d.W.Grad, 1, wg)
-	bg := make([]float64, d.out)
-	grad.ColSums(bg)
-	for j, v := range bg {
-		d.B.Grad.Data[j] += v
-	}
-	if d.gradIn == nil || d.gradIn.Rows != grad.Rows {
-		d.gradIn = tensor.New(grad.Rows, d.in)
-	}
-	tensor.MatMulBT(d.gradIn, grad, d.W.Value)
-	return d.gradIn
-}
-
-// InferInto computes y = xW + b into dst without touching the training
-// caches.
+// InferInto computes y = xW + b into dst.
 func (d *Dense) InferInto(dst, x *tensor.Matrix) {
 	if x.Cols != d.in {
 		panic(fmt.Sprintf("nn: Dense input width %d, want %d", x.Cols, d.in))
 	}
 	tensor.MatMul(dst, x, d.W.Value)
 	tensor.AddRowVector(dst, d.B.Value.Row(0))
+}
+
+// Backward writes dx = dy Wᵀ and, with params set, accumulates dW += xᵀdy
+// and db += Σ_rows dy. Parameter gradients accumulate so gradient checks
+// can sum batches; the optimizer zeroes them after each step.
+func (d *Dense) Backward(dx, dy, x, _ *tensor.Matrix, params bool) {
+	if params {
+		tensor.MatMulAT(d.W.Grad, x, dy)
+		for i := 0; i < dy.Rows; i++ {
+			for j, v := range dy.Row(i) {
+				d.B.Grad.Data[j] += v
+			}
+		}
+	}
+	tensor.MatMulBT(dx, dy, d.W.Value)
 }
 
 // Params returns the weight and bias parameters.
@@ -158,55 +128,31 @@ func (d *Dense) OutDim(inDim int) (int, error) {
 func (d *Dense) InDim() int { return d.in }
 
 // ReLU is the rectified linear activation.
-type ReLU struct {
-	mask   []bool
-	outBuf *tensor.Matrix
-}
+type ReLU struct{}
 
 var _ Layer = (*ReLU)(nil)
 
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward computes max(0, x).
-func (l *ReLU) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
-	if l.outBuf == nil || !l.outBuf.SameShape(x) {
-		l.outBuf = tensor.New(x.Rows, x.Cols)
-		l.mask = make([]bool, len(x.Data))
-	}
-	for i, v := range x.Data {
-		if v > 0 {
-			l.outBuf.Data[i] = v
-			l.mask[i] = true
-		} else {
-			l.outBuf.Data[i] = 0
-			l.mask[i] = false
-		}
-	}
-	return l.outBuf
-}
-
-// Backward zeroes gradient where the forward input was non-positive.
-func (l *ReLU) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	if l.mask == nil || len(l.mask) != len(grad.Data) {
-		panic("nn: ReLU.Backward before Forward or shape change")
-	}
-	out := tensor.New(grad.Rows, grad.Cols)
-	for i, v := range grad.Data {
-		if l.mask[i] {
-			out.Data[i] = v
-		}
-	}
-	return out
-}
-
-// InferInto computes max(0, x) into dst without touching the mask cache.
+// InferInto computes max(0, x) into dst.
 func (l *ReLU) InferInto(dst, x *tensor.Matrix) {
 	for i, v := range x.Data {
 		if v > 0 {
 			dst.Data[i] = v
 		} else {
 			dst.Data[i] = 0
+		}
+	}
+}
+
+// Backward zeroes the gradient where the input was non-positive.
+func (l *ReLU) Backward(dx, dy, x, _ *tensor.Matrix, _ bool) {
+	for i, g := range dy.Data {
+		if x.Data[i] > 0 {
+			dx.Data[i] = g
+		} else {
+			dx.Data[i] = 0
 		}
 	}
 }
@@ -218,44 +164,25 @@ func (l *ReLU) Params() []*Param { return nil }
 func (l *ReLU) OutDim(inDim int) (int, error) { return inDim, nil }
 
 // Sigmoid is the logistic activation 1/(1+e^-x).
-type Sigmoid struct {
-	outBuf *tensor.Matrix
-}
+type Sigmoid struct{}
 
 var _ Layer = (*Sigmoid)(nil)
 
 // NewSigmoid returns a sigmoid activation layer.
 func NewSigmoid() *Sigmoid { return &Sigmoid{} }
 
-// Forward computes the element-wise logistic function.
-func (l *Sigmoid) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
-	if l.outBuf == nil || !l.outBuf.SameShape(x) {
-		l.outBuf = tensor.New(x.Rows, x.Cols)
-	}
-	for i, v := range x.Data {
-		l.outBuf.Data[i] = sigmoid(v)
-	}
-	return l.outBuf
-}
-
-// Backward multiplies by s(1-s) using the cached forward output.
-func (l *Sigmoid) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	if l.outBuf == nil || !l.outBuf.SameShape(grad) {
-		panic("nn: Sigmoid.Backward before Forward or shape change")
-	}
-	out := tensor.New(grad.Rows, grad.Cols)
-	for i, g := range grad.Data {
-		s := l.outBuf.Data[i]
-		out.Data[i] = g * s * (1 - s)
-	}
-	return out
-}
-
-// InferInto computes the logistic function into dst without touching the
-// output cache.
+// InferInto computes the element-wise logistic function into dst.
 func (l *Sigmoid) InferInto(dst, x *tensor.Matrix) {
 	for i, v := range x.Data {
 		dst.Data[i] = sigmoid(v)
+	}
+}
+
+// Backward multiplies by s(1-s), reading s from the output.
+func (l *Sigmoid) Backward(dx, dy, _, y *tensor.Matrix, _ bool) {
+	for i, g := range dy.Data {
+		s := y.Data[i]
+		dx.Data[i] = g * s * (1 - s)
 	}
 }
 
@@ -266,43 +193,25 @@ func (l *Sigmoid) Params() []*Param { return nil }
 func (l *Sigmoid) OutDim(inDim int) (int, error) { return inDim, nil }
 
 // Tanh is the hyperbolic-tangent activation.
-type Tanh struct {
-	outBuf *tensor.Matrix
-}
+type Tanh struct{}
 
 var _ Layer = (*Tanh)(nil)
 
 // NewTanh returns a tanh activation layer.
 func NewTanh() *Tanh { return &Tanh{} }
 
-// Forward computes element-wise tanh.
-func (l *Tanh) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
-	if l.outBuf == nil || !l.outBuf.SameShape(x) {
-		l.outBuf = tensor.New(x.Rows, x.Cols)
-	}
-	for i, v := range x.Data {
-		l.outBuf.Data[i] = tanh(v)
-	}
-	return l.outBuf
-}
-
-// Backward multiplies by 1 - tanh².
-func (l *Tanh) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	if l.outBuf == nil || !l.outBuf.SameShape(grad) {
-		panic("nn: Tanh.Backward before Forward or shape change")
-	}
-	out := tensor.New(grad.Rows, grad.Cols)
-	for i, g := range grad.Data {
-		th := l.outBuf.Data[i]
-		out.Data[i] = g * (1 - th*th)
-	}
-	return out
-}
-
-// InferInto computes tanh into dst without touching the output cache.
+// InferInto computes element-wise tanh into dst.
 func (l *Tanh) InferInto(dst, x *tensor.Matrix) {
 	for i, v := range x.Data {
 		dst.Data[i] = tanh(v)
+	}
+}
+
+// Backward multiplies by 1 - tanh², reading tanh from the output.
+func (l *Tanh) Backward(dx, dy, _, y *tensor.Matrix, _ bool) {
+	for i, g := range dy.Data {
+		th := y.Data[i]
+		dx.Data[i] = g * (1 - th*th)
 	}
 }
 
@@ -314,11 +223,13 @@ func (l *Tanh) OutDim(inDim int) (int, error) { return inDim, nil }
 
 // Dropout zeroes a fraction of activations during training and rescales the
 // survivors by 1/(1-rate) (inverted dropout), so inference needs no change.
+// As a Layer it is the identity in both directions; a training pass masks
+// its output with drop and its gradient with the same mask, which the
+// pass's Workspace keeps.
 type Dropout struct {
 	Rate float64
 
-	rng  *rng.RNG
-	mask []float64
+	rng *rng.RNG
 }
 
 var _ Layer = (*Dropout)(nil)
@@ -331,51 +242,35 @@ func NewDropout(rate float64, r *rng.RNG) *Dropout {
 	return &Dropout{Rate: rate, rng: r}
 }
 
-// Forward applies the dropout mask in training mode and is the identity in
-// inference mode.
-func (l *Dropout) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
-	if !training || l.Rate == 0 {
-		// Identity: mark mask nil so Backward passes gradients through.
-		l.mask = nil
-		return x
-	}
-	if len(l.mask) != len(x.Data) {
-		l.mask = make([]float64, len(x.Data))
+// InferInto copies x into dst: inverted dropout needs no inference-time
+// rescaling.
+func (l *Dropout) InferInto(dst, x *tensor.Matrix) {
+	copy(dst.Data, x.Data)
+}
+
+// Backward copies dy into dx (the identity's gradient).
+func (l *Dropout) Backward(dx, dy, _, _ *tensor.Matrix, _ bool) {
+	copy(dx.Data, dy.Data)
+}
+
+// drop draws a fresh training mask from the layer's RNG into mask (reused
+// when its length fits) and applies it to y in place, returning the mask.
+func (l *Dropout) drop(y *tensor.Matrix, mask []float64) []float64 {
+	if len(mask) != len(y.Data) {
+		mask = make([]float64, len(y.Data))
 	}
 	keep := 1 - l.Rate
 	scale := 1 / keep
-	out := tensor.New(x.Rows, x.Cols)
-	for i, v := range x.Data {
+	for i := range y.Data {
 		if l.rng.Float64() < keep {
-			l.mask[i] = scale
-			out.Data[i] = v * scale
+			mask[i] = scale
+			y.Data[i] *= scale
 		} else {
-			l.mask[i] = 0
-			out.Data[i] = 0
+			mask[i] = 0
+			y.Data[i] = 0
 		}
 	}
-	return out
-}
-
-// Backward applies the same mask to the gradient.
-func (l *Dropout) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	if l.mask == nil {
-		return grad
-	}
-	if len(l.mask) != len(grad.Data) {
-		panic("nn: Dropout.Backward shape mismatch")
-	}
-	out := tensor.New(grad.Rows, grad.Cols)
-	for i, g := range grad.Data {
-		out.Data[i] = g * l.mask[i]
-	}
-	return out
-}
-
-// InferInto is the identity (inverted dropout needs no inference-time
-// rescaling); it copies so dst stays layer-independent.
-func (l *Dropout) InferInto(dst, x *tensor.Matrix) {
-	copy(dst.Data, x.Data)
+	return mask
 }
 
 // Params returns nil; Dropout has no parameters.

@@ -12,23 +12,28 @@ import (
 // probabilities are obtained with Probs (temperature softmax applied outside
 // the layer stack, which is what defensive distillation requires).
 //
-// Concurrency model: the network splits into immutable shared weights and
-// per-caller scratch state. The inference entry points — Infer (explicit
-// Workspace), Logits, Probs, PredictClass — never touch layer-owned caches,
-// so any number of goroutines may score one shared network concurrently,
-// provided nobody is mutating the parameters (training) at the same time.
-// The train-time pair Forward/Backward and the gradient helpers built on it
-// (ClassGradient, InputJacobian) cache activations in the layers and remain
-// single-caller: at most one goroutine may use them on a given network at a
-// time (Clone the network for parallel gradient work).
+// Concurrency model: the layers hold only their weights, and every pass
+// keeps its activations in a Workspace. Inference (Infer with an explicit
+// Workspace, Logits, Probs, PredictClass) and input gradients
+// (ClassGradient) draw their workspaces per call, so any number of
+// goroutines may use one shared network at once, provided nobody is
+// mutating the parameters (training) at the same time. Only the train-time
+// pair Forward/Backward is single-caller: it records its pass in the
+// network's own workspace.
 type Network struct {
 	layers []Layer
 	inDim  int
 	outDim int
-	// widths[i] is the output width of layers[i], fixed at construction.
+	// widths[0] is the input width and widths[i+1] the output width of
+	// layers[i], fixed at construction.
 	widths []int
-	// wsPool recycles Workspaces for the pooled inference entry points.
-	wsPool sync.Pool
+	// train is the workspace of the train-time Forward/Backward pair.
+	train *Workspace
+	// pool recycles workspaces for the per-call entry points. It is
+	// allocated apart from the Network, and its workspaces never point
+	// back at it: the runtime keeps a used pool registered for two more
+	// garbage collections, and that must not keep a dropped network alive.
+	pool *sync.Pool
 }
 
 // NewNetwork stacks the given layers. inDim is the expected input width;
@@ -40,17 +45,16 @@ func NewNetwork(inDim int, layers ...Layer) (*Network, error) {
 	if len(layers) == 0 {
 		return nil, fmt.Errorf("nn: network needs at least one layer")
 	}
-	width := inDim
-	widths := make([]int, 0, len(layers))
+	widths := []int{inDim}
 	for i, l := range layers {
-		next, err := l.OutDim(width)
+		next, err := l.OutDim(widths[i])
 		if err != nil {
 			return nil, fmt.Errorf("nn: layer %d: %w", i, err)
 		}
-		width = next
-		widths = append(widths, width)
+		widths = append(widths, next)
 	}
-	return &Network{layers: layers, inDim: inDim, outDim: width, widths: widths}, nil
+	return &Network{layers: layers, inDim: inDim, outDim: widths[len(layers)], widths: widths,
+		pool: new(sync.Pool)}, nil
 }
 
 // MLPConfig describes a plain multi-layer perceptron: Dims lists every layer
@@ -124,70 +128,130 @@ func (n *Network) OutDim() int { return n.outDim }
 // Layers exposes the layer stack (read-only by convention).
 func (n *Network) Layers() []Layer { return n.layers }
 
-// Forward runs the batch through the stack and returns logits. The returned
-// matrix is owned by the network's internal buffers; callers that retain it
-// across calls must Clone it. Forward mutates layer-owned caches (Backward
-// consumes them), so it is single-caller; concurrent readers use Infer or
-// the pooled entry points instead.
-func (n *Network) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
-	if x.Cols != n.inDim {
-		panic(fmt.Sprintf("nn: Forward input width %d, want %d", x.Cols, n.inDim))
-	}
-	h := x
-	for _, l := range n.layers {
-		h = l.Forward(h, training)
-	}
-	return h
-}
-
-// Workspace holds the per-caller activation buffers one concurrent reader
-// needs to run inference against a shared Network. A Workspace is itself
-// single-caller — give each goroutine its own (NewWorkspace), or use the
-// pooled entry points Logits/Probs/PredictClass, which borrow one
-// internally.
+// Workspace holds one caller's activations for a network: the input and
+// every layer's output of the last forward pass, and the buffers a
+// backward pass writes. A Workspace is single-caller — give each goroutine
+// its own (NewWorkspace), or use the per-call entry points, which borrow
+// one from the network's pool.
 type Workspace struct {
-	bufs []*tensor.Matrix // one activation buffer per layer, sized lazily
+	// acts[0] is the pass's input and acts[i+1] the output of layer i.
+	acts []*tensor.Matrix
+	// grads[i] is dLoss/d(acts[i]) on the last backward pass; the last
+	// one holds ClassGradient's dF/dlogits seed.
+	grads []*tensor.Matrix
+	// masks[i] is dropout layer i's mask from the last forward pass, nil
+	// unless that was a training pass.
+	masks [][]float64
 }
 
 // NewWorkspace returns an empty workspace for this network; buffers are
 // allocated on first use and resized when the batch shape changes.
 func (n *Network) NewWorkspace() *Workspace {
-	return &Workspace{bufs: make([]*tensor.Matrix, len(n.layers))}
+	return &Workspace{
+		acts:  make([]*tensor.Matrix, len(n.widths)),
+		grads: make([]*tensor.Matrix, len(n.widths)),
+		masks: make([][]float64, len(n.layers)),
+	}
+}
+
+// sized returns m when it already has the given shape, else a new matrix.
+func sized(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
+	if m == nil || m.Rows != rows || m.Cols != cols {
+		return tensor.New(rows, cols)
+	}
+	return m
+}
+
+// forward runs x through the stack into ws and returns the logits (owned
+// by ws). A training pass masks every dropout layer's output, keeping the
+// masks in ws for the backward pass.
+func (n *Network) forward(ws *Workspace, x *tensor.Matrix, training bool) *tensor.Matrix {
+	if x.Cols != n.inDim {
+		panic(fmt.Sprintf("nn: forward input width %d, want %d", x.Cols, n.inDim))
+	}
+	if len(ws.acts) != len(n.widths) {
+		*ws = *n.NewWorkspace()
+	}
+	ws.acts[0] = x
+	for i, l := range n.layers {
+		y := sized(ws.acts[i+1], x.Rows, n.widths[i+1])
+		ws.acts[i+1] = y
+		l.InferInto(y, ws.acts[i])
+		var mask []float64
+		if d, ok := l.(*Dropout); ok && training && d.Rate > 0 {
+			mask = d.drop(y, ws.masks[i])
+		}
+		ws.masks[i] = mask
+	}
+	return ws.acts[len(n.layers)]
+}
+
+// backward propagates dy = dLoss/dLogits back through the pass recorded in
+// ws and returns dLoss/dInput (owned by ws). With params set every layer
+// also accumulates its parameter gradients.
+func (n *Network) backward(ws *Workspace, dy *tensor.Matrix, params bool) *tensor.Matrix {
+	rows := ws.acts[0].Rows
+	if dy.Rows != rows || dy.Cols != n.outDim {
+		panic(fmt.Sprintf("nn: backward grad %dx%d, want %dx%d", dy.Rows, dy.Cols, rows, n.outDim))
+	}
+	for i := len(n.layers) - 1; i >= 0; i-- {
+		dx := sized(ws.grads[i], rows, n.widths[i])
+		ws.grads[i] = dx
+		n.layers[i].Backward(dx, dy, ws.acts[i], ws.acts[i+1], params)
+		for k, m := range ws.masks[i] {
+			dx.Data[k] *= m
+		}
+		dy = dx
+	}
+	return dy
+}
+
+// Forward runs the batch through the stack and returns logits. training
+// selects dropout masking. The pass is recorded in the network's own
+// workspace for Backward, and the returned matrix is owned by it: callers
+// that retain it across calls must Clone it. Forward/Backward is the
+// single-caller training path; concurrent callers use Infer, the pooled
+// entry points or ClassGradient.
+func (n *Network) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
+	if n.train == nil {
+		n.train = n.NewWorkspace()
+	}
+	return n.forward(n.train, x, training)
+}
+
+// Backward propagates dLoss/dLogits through the pass of the last Forward,
+// accumulating parameter gradients, and returns dLoss/dInput (owned by the
+// network's workspace).
+func (n *Network) Backward(grad *tensor.Matrix) *tensor.Matrix {
+	if n.train == nil || n.train.acts[0] == nil {
+		panic("nn: Backward before Forward")
+	}
+	return n.backward(n.train, grad, true)
 }
 
 // Infer runs the batch through the stack in inference mode, drawing every
-// scratch activation from ws. Unlike Forward it neither reads nor writes
-// layer-owned state, so any number of goroutines may Infer against one
-// shared network — each with its own Workspace — as long as no goroutine is
-// concurrently training. The returned logits matrix is owned by ws and
-// stays valid until the next Infer with the same workspace. Results are
-// bit-identical to Forward(x, false): each output row depends only on its
-// own input row, so batching and scheduling cannot change the numbers.
+// activation buffer from ws. It only reads the weights, so any number of
+// goroutines may Infer against one shared network — each with its own
+// Workspace — as long as no goroutine is concurrently training. The
+// returned logits matrix is owned by ws and stays valid until the next
+// pass with the same workspace. Results are bit-identical to
+// Forward(x, false), which runs the same per-layer code: each output row
+// depends only on its own input row, so batching and scheduling cannot
+// change the numbers.
 func (n *Network) Infer(ws *Workspace, x *tensor.Matrix) *tensor.Matrix {
-	if x.Cols != n.inDim {
-		panic(fmt.Sprintf("nn: Infer input width %d, want %d", x.Cols, n.inDim))
-	}
-	if len(ws.bufs) != len(n.layers) {
-		ws.bufs = make([]*tensor.Matrix, len(n.layers))
-	}
-	h := x
-	for i, l := range n.layers {
-		dst := ws.bufs[i]
-		if dst == nil || dst.Rows != x.Rows || dst.Cols != n.widths[i] {
-			dst = tensor.New(x.Rows, n.widths[i])
-			ws.bufs[i] = dst
-		}
-		l.InferInto(dst, h)
-		h = dst
-	}
-	return h
+	return n.forward(ws, x, false)
 }
 
 func (n *Network) getWorkspace() *Workspace {
-	if ws, ok := n.wsPool.Get().(*Workspace); ok {
+	if ws, ok := n.pool.Get().(*Workspace); ok {
 		return ws
 	}
 	return n.NewWorkspace()
+}
+
+func (n *Network) putWorkspace(ws *Workspace) {
+	ws.acts[0] = nil // do not keep the caller's input alive in the pool
+	n.pool.Put(ws)
 }
 
 // Logits scores a batch in inference mode and returns a freshly allocated
@@ -196,18 +260,8 @@ func (n *Network) getWorkspace() *Workspace {
 func (n *Network) Logits(x *tensor.Matrix) *tensor.Matrix {
 	ws := n.getWorkspace()
 	out := n.Infer(ws, x).Clone()
-	n.wsPool.Put(ws)
+	n.putWorkspace(ws)
 	return out
-}
-
-// Backward propagates dLoss/dLogits through the stack, accumulating
-// parameter gradients, and returns dLoss/dInput.
-func (n *Network) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	g := grad
-	for i := len(n.layers) - 1; i >= 0; i-- {
-		g = n.layers[i].Backward(g)
-	}
-	return g
 }
 
 // Params returns every trainable parameter in layer order.
@@ -228,13 +282,6 @@ func (n *Network) NumParams() int {
 	return total
 }
 
-// ZeroGrads clears all parameter gradient accumulators.
-func (n *Network) ZeroGrads() {
-	for _, p := range n.Params() {
-		p.Grad.Zero()
-	}
-}
-
 // Probs returns softmax(logits/temperature) for a batch; rows sum to 1.
 // Safe for concurrent callers.
 func (n *Network) Probs(x *tensor.Matrix, temperature float64) *tensor.Matrix {
@@ -244,7 +291,7 @@ func (n *Network) Probs(x *tensor.Matrix, temperature float64) *tensor.Matrix {
 	for i := 0; i < logits.Rows; i++ {
 		SoftmaxRow(logits.Row(i), out.Row(i), temperature)
 	}
-	n.wsPool.Put(ws)
+	n.putWorkspace(ws)
 	return out
 }
 
@@ -257,59 +304,43 @@ func (n *Network) PredictClass(x *tensor.Matrix) []int {
 	for i := range out {
 		out[i] = logits.RowArgmax(i)
 	}
-	n.wsPool.Put(ws)
+	n.putWorkspace(ws)
 	return out
 }
 
 // ClassGradient computes, for every sample in the batch, the gradient of the
 // softmax probability of `class` with respect to the input:
 // ∂F_class(x)/∂x. This is the forward derivative the JSMA saliency map is
-// built from (Eq. 1 of the paper). Parameter gradients accumulated as a side
-// effect are discarded (zeroed) before returning.
+// built from (Eq. 1 of the paper). It runs the same per-layer forward and
+// backward as training on a pooled workspace and reads the parameters
+// only, so any number of goroutines may call it on one shared network.
+// Each output row depends only on its own input row: a batch's gradient
+// equals each row's own, bit for bit.
 //
-// ClassGradient runs Forward+Backward and therefore inherits their
-// single-caller contract; concurrent gradient work needs per-goroutine
-// Clones.
-//
-// The returned matrix has the batch's shape (rows = samples, cols = input
-// width).
+// The returned matrix is freshly allocated and has the batch's shape
+// (rows = samples, cols = input width).
 func (n *Network) ClassGradient(x *tensor.Matrix, class int, temperature float64) *tensor.Matrix {
 	if class < 0 || class >= n.outDim {
 		panic(fmt.Sprintf("nn: ClassGradient class %d out of [0,%d)", class, n.outDim))
 	}
-	logits := n.Forward(x, false)
+	ws := n.getWorkspace()
+	logits := n.forward(ws, x, false)
 	// dF_c/dz_j = p_c (δ_cj − p_j) / T for softmax with temperature T.
-	seed := tensor.New(logits.Rows, logits.Cols)
-	probs := make([]float64, logits.Cols)
+	seed := sized(ws.grads[len(n.layers)], logits.Rows, logits.Cols)
+	ws.grads[len(n.layers)] = seed
 	for i := 0; i < logits.Rows; i++ {
-		SoftmaxRow(logits.Row(i), probs, temperature)
-		pc := probs[class]
 		row := seed.Row(i)
-		for j := range row {
+		SoftmaxRow(logits.Row(i), row, temperature)
+		pc := row[class]
+		for j, p := range row {
 			delta := 0.0
 			if j == class {
 				delta = 1
 			}
-			row[j] = pc * (delta - probs[j]) / temperature
+			row[j] = pc * (delta - p) / temperature
 		}
 	}
-	grad := n.Backward(seed).Clone()
-	n.ZeroGrads() // discard the parameter-gradient side effect
+	grad := n.backward(ws, seed, false).Clone()
+	n.putWorkspace(ws)
 	return grad
-}
-
-// InputJacobian returns the full Jacobian ∂F/∂x for one sample: a
-// outDim×inDim matrix whose row c is ∂F_c/∂x. Used by the black-box
-// substitute-training loop (Jacobian-based dataset augmentation).
-func (n *Network) InputJacobian(x []float64, temperature float64) *tensor.Matrix {
-	if len(x) != n.inDim {
-		panic(fmt.Sprintf("nn: InputJacobian input width %d, want %d", len(x), n.inDim))
-	}
-	jac := tensor.New(n.outDim, n.inDim)
-	xm := tensor.FromSlice(1, n.inDim, x)
-	for c := 0; c < n.outDim; c++ {
-		g := n.ClassGradient(xm, c, temperature)
-		copy(jac.Row(c), g.Row(0))
-	}
-	return jac
 }

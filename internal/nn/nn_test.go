@@ -197,10 +197,13 @@ func TestProbsRowsSumToOne(t *testing.T) {
 }
 
 func TestDropoutInferenceIsIdentity(t *testing.T) {
-	d := NewDropout(0.5, rng.New(1))
+	net, err := NewNetwork(6, NewDropout(0.5, rng.New(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	x := tensor.New(4, 6)
 	x.Fill(1)
-	out := d.Forward(x, false)
+	out := net.Forward(x, false)
 	for _, v := range out.Data {
 		if v != 1 {
 			t.Fatal("dropout altered inference output")
@@ -209,10 +212,13 @@ func TestDropoutInferenceIsIdentity(t *testing.T) {
 }
 
 func TestDropoutTrainingMasks(t *testing.T) {
-	d := NewDropout(0.5, rng.New(2))
+	net, err := NewNetwork(100, NewDropout(0.5, rng.New(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	x := tensor.New(10, 100)
 	x.Fill(1)
-	out := d.Forward(x, true)
+	out := net.Forward(x, true)
 	zeros := 0
 	for _, v := range out.Data {
 		switch v {
@@ -405,20 +411,6 @@ func TestFromSpecRejectsCorruptDense(t *testing.T) {
 	}
 	if _, err := FromSpec(s); err == nil {
 		t.Fatal("expected corrupt-weights error")
-	}
-}
-
-func TestCloneIsIndependent(t *testing.T) {
-	net, _ := NewMLP(MLPConfig{Dims: []int{3, 4, 2}, Seed: 24})
-	clone := net.Clone()
-	// Mutate the original's weights; clone must not change.
-	net.Params()[0].Value.Data[0] += 100
-	x := tensor.New(1, 3)
-	x.Fill(1)
-	a := net.Forward(x, false).Clone()
-	b := clone.Forward(x, false)
-	if a.Data[0] == b.Data[0] {
-		t.Fatal("clone shares weights with original")
 	}
 }
 

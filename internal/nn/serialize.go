@@ -16,8 +16,7 @@ func zeroRNG() *rng.RNG { return rng.New(0) }
 func seededRNG(seed uint64) *rng.RNG { return rng.New(seed) }
 
 // Model (de)serialization. A Network is flattened to a Spec — a plain data
-// description of the layer stack plus weights — and encoded with gob. The
-// Spec type is also how callers clone a network for concurrent inference.
+// description of the layer stack plus weights — and encoded with gob.
 
 // LayerSpec describes one layer in serialized form.
 type LayerSpec struct {
@@ -109,17 +108,6 @@ func FromSpec(s *Spec) (*Network, error) {
 		return nil, fmt.Errorf("nn: FromSpec: %w", err)
 	}
 	return net, nil
-}
-
-// Clone deep-copies the network (weights included) via a Spec round-trip.
-// The clone shares no state, making it safe to use on another goroutine.
-func (n *Network) Clone() *Network {
-	c, err := FromSpec(n.Spec())
-	if err != nil {
-		// A spec produced by Spec() is always valid; failure here is a bug.
-		panic(fmt.Sprintf("nn: Clone round-trip failed: %v", err))
-	}
-	return c
 }
 
 // Save writes the network to w in gob-encoded Spec form.

@@ -23,7 +23,10 @@ import (
 // lets go — the channel-signalled drain the server's reload machinery
 // introduced, now shared by every live slot in the process.
 type Instance struct {
-	// Scorer is the concurrent batched engine over the loaded network.
+	// Net is the loaded network. It is shared and never trained: the
+	// engine scores with it and white-box campaigns craft on it.
+	Net *nn.Network
+	// Scorer is the concurrent batched engine over Net.
 	Scorer *serve.Scorer
 	// Det is the defended verdict path when the version carries a defense
 	// chain (nil for a bare model, which scores straight off the logits).
@@ -93,6 +96,7 @@ func BuildInstance(cfg InstanceConfig) (*Instance, error) {
 		temp = 1
 	}
 	inst := &Instance{
+		Net:        net,
 		Scorer:     serve.New(net, temp, scorerOpts),
 		Name:       cfg.Name,
 		Version:    cfg.Version,

@@ -539,31 +539,18 @@ func (r *Registry) Acquire(name string) (*Instance, error) {
 	return inst, nil
 }
 
-// LoadLive loads a private copy of the named model's live version network
-// — the crafting-model path for campaigns that attack a registered
-// detector white-box (gradient crafting mutates per-network caches, so
-// every caller gets its own copy).
+// LoadLive returns the named model's live network — the crafting model
+// for campaigns that attack a registered detector white-box. It is the
+// live instance's own network, shared with its scoring engine (crafting
+// only reads the weights), so no file is read. Unknown names are
+// ErrUnknownModel; a model with no live version is ErrVersionConflict.
 func (r *Registry) LoadLive(name string) (*nn.Network, error) {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil, ErrClosed
+	inst, err := r.Acquire(name)
+	if err != nil {
+		return nil, err
 	}
-	m, ok := r.models[name]
-	var path string
-	if ok {
-		if vi, live := m.manifest.version(m.manifest.Live); live {
-			path = filepath.Join(r.opts.Dir, name, vi.File)
-		}
-	}
-	r.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownModel, name)
-	}
-	if path == "" {
-		return nil, fmt.Errorf("%w: model %q has no live version", ErrVersionConflict, name)
-	}
-	return nn.LoadFile(path)
+	defer inst.Release()
+	return inst.Net, nil
 }
 
 // LoadVersion loads a private copy of one specific retained version of the

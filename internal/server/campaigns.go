@@ -98,16 +98,15 @@ func instanceLabels(ctx context.Context, m *model, x *tensor.Matrix) ([]int, int
 	return labels, m.Generation, nil
 }
 
-// craftModel loads a fresh copy of the currently-served model file — the
-// default crafting model for white-box campaigns against this daemon. Each
-// campaign job gets its own network because gradient crafting mutates
-// per-network activation caches.
+// craftModel returns the currently-served network — the default crafting
+// model for white-box campaigns against this daemon. Campaigns share it
+// with the scoring engine: crafting only reads the weights.
 func (s *Server) craftModel() (*nn.Network, error) {
 	m := s.slot.Load()
 	if m == nil {
 		return nil, errors.New("server: shut down")
 	}
-	return nn.LoadFile(m.Path)
+	return m.Net, nil
 }
 
 func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {

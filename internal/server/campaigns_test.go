@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"malevade/internal/attack"
 	"malevade/internal/campaign"
 	"malevade/internal/rng"
+	"malevade/internal/tensor"
 )
 
 // submitCampaign posts a spec and decodes the accepted snapshot.
@@ -307,4 +309,76 @@ func TestCampaignReloadHammer(t *testing.T) {
 	}
 	t.Logf("%d campaigns × %d samples across %d hot-reloads; %d distinct generations judged batches",
 		nCampaigns, rows, reloads, len(distinct))
+}
+
+// TestSharedWeightsDaemonCampaigns deletes the daemon's model file after
+// boot and then runs two white-box campaigns at once: both must craft on
+// the served network itself — no per-campaign file load — and each must
+// match the in-process attack on that network, sample for sample. Run
+// with -race: the two campaigns and the scoring engine share one network.
+func TestSharedWeightsDaemonCampaigns(t *testing.T) {
+	path, net := saveTestNet(t, t.TempDir(), "model.gob", []int{40, 24, 2}, 13)
+	s, err := New(Options{ModelPath: path, Campaigns: campaign.Options{Workers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+
+	// Populations the served model detects, so that every sample is
+	// attacked.
+	detected := func(seed uint64) [][]float64 {
+		rows := testCampaignRows(200, net.InDim(), seed)
+		var out [][]float64
+		for i, label := range net.PredictClass(tensor.FromRows(rows)) {
+			if label == 1 && len(out) < 30 {
+				out = append(out, rows[i])
+			}
+		}
+		if len(out) < 10 {
+			t.Fatalf("only %d of 200 rows detected", len(out))
+		}
+		return out
+	}
+	specs := []campaign.Spec{
+		{Name: "shared-a", Attack: attack.Config{Kind: attack.KindJSMA, Theta: 0.2, Gamma: 0.3},
+			Rows: detected(21), BatchSize: 7},
+		{Name: "shared-b", Attack: attack.Config{Kind: attack.KindJSMA, Theta: 0.1, Gamma: 0.5},
+			Rows: detected(22), BatchSize: 11},
+	}
+	ids := make([]string, len(specs))
+	for i, sp := range specs {
+		ids[i] = submitCampaign(t, s, sp).ID
+	}
+	for i, sp := range specs {
+		final := awaitCampaign(t, s, ids[i])
+		if final.Status != campaign.StatusDone {
+			t.Fatalf("%s: status %s (%s), want done", sp.Name, final.Status, final.Error)
+		}
+		atk, err := sp.Attack.Build(net, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := atk.Run(tensor.FromRows(sp.Rows))
+		refAdv := net.PredictClass(attack.AdvMatrix(ref))
+		if len(final.Results) != len(ref) {
+			t.Fatalf("%s: %d results, want %d", sp.Name, len(final.Results), len(ref))
+		}
+		perturbed := 0
+		for j, r := range final.Results {
+			if r.CraftEvaded != ref[j].Evaded || r.L2 != ref[j].L2 ||
+				r.ModifiedFeatures != len(ref[j].ModifiedFeatures) || r.Evaded != (refAdv[j] == 0) {
+				t.Fatalf("%s sample %d: daemon %+v, in-process evaded=%v L2=%v modified=%d verdict=%d",
+					sp.Name, j, r, ref[j].Evaded, ref[j].L2, len(ref[j].ModifiedFeatures), refAdv[j])
+			}
+			if r.ModifiedFeatures > 0 {
+				perturbed++
+			}
+		}
+		if perturbed == 0 {
+			t.Fatalf("%s: no sample was perturbed; the comparison proves nothing", sp.Name)
+		}
+	}
 }

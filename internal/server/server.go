@@ -109,9 +109,9 @@ type Options struct {
 	// Campaigns tunes the attack-campaign orchestrator behind
 	// /v1/campaigns (workers, queue depth, sample caps). LocalTarget,
 	// CraftModel and RemoteTarget are filled by the server when unset:
-	// campaigns then target the live generation-pinned model, craft on a
-	// private copy of the served model file, and reach remote targets
-	// through the client SDK.
+	// campaigns then target the live generation-pinned model, craft on
+	// the served network itself, and reach remote targets through the
+	// client SDK.
 	Campaigns campaign.Options
 	// Defenses hardens every loaded model generation with a servable
 	// defense chain (defense.Chain.Wrap): scoring, labels and campaign

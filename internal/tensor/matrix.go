@@ -223,8 +223,9 @@ func MatMulBT(dst, a, b *Matrix) {
 	}
 }
 
-// MatMulAT computes dst = aᵀ × b without materializing the transpose.
-// dst must be a.Cols × b.Cols.
+// MatMulAT accumulates aᵀ × b into dst (dst += aᵀb) without materializing
+// the transpose: a dense layer's weight-gradient update. dst must be
+// a.Cols × b.Cols.
 func MatMulAT(dst, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulAT inner dims %d != %d", a.Rows, b.Rows))
@@ -232,7 +233,6 @@ func MatMulAT(dst, a, b *Matrix) {
 	if dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulAT dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
 	}
-	dst.Zero()
 	for r := 0; r < a.Rows; r++ {
 		aRow := a.Row(r)
 		bRow := b.Row(r)

@@ -153,7 +153,8 @@ func TestMatMulBTMatchesExplicitTranspose(t *testing.T) {
 	}
 }
 
-// Property: MatMulAT(a, b) == MatMul(aᵀ, b) for random shapes.
+// Property: MatMulAT(a, b) == MatMul(aᵀ, b) for random shapes, and a second
+// call accumulates (dst += aᵀb), as parameter gradients need.
 func TestMatMulATMatchesExplicitTranspose(t *testing.T) {
 	r := rng.New(3)
 	for trial := 0; trial < 25; trial++ {
@@ -164,6 +165,9 @@ func TestMatMulATMatchesExplicitTranspose(t *testing.T) {
 		MatMulAT(got, a, b)
 		want := New(m, n)
 		MatMul(want, a.Transpose(), b)
+		assertAllClose(t, got, want, 1e-12)
+		MatMulAT(got, a, b)
+		Scale(want, 2, want)
 		assertAllClose(t, got, want, 1e-12)
 	}
 }
