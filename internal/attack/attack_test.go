@@ -344,3 +344,48 @@ func TestJSMAInvariantsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkJSMABatch times one campaign batch of white-box crafting: JSMA
+// at θ=0.1, γ=0.02 over 4 generated-corpus malware rows on the full-width
+// 491-512-256-2 target. One row resists the attack, so every iteration
+// runs the whole feature budget, as campaign batches do. Corpus rows are
+// mostly zeros, which MatMul skips; Gaussian inputs would overstate the
+// forward pass.
+func BenchmarkJSMABatch(b *testing.B) {
+	target, err := detector.Train(testCorpus.Train, detector.TrainConfig{
+		Arch: detector.ArchTarget, Epochs: 2, Seed: 7,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	mal := testCorpus.Test.FilterLabel(dataset.LabelMalware)
+	var detected []int
+	for i, p := range target.Predict(mal.X) {
+		if p == dataset.LabelMalware {
+			detected = append(detected, i)
+		}
+	}
+	if len(detected) < 4 {
+		b.Fatalf("the target detects %d test malware rows, want at least 4", len(detected))
+	}
+	j := &JSMA{Model: target.Net, Theta: 0.1, Gamma: 0.02}
+	cands := mal.Subset(detected).X
+	resist := -1
+	for i, r := range j.Run(cands) {
+		if !r.Evaded {
+			resist = i
+			break
+		}
+	}
+	if resist < 0 {
+		b.Fatal("every detected row evades; no batch would run the full budget")
+	}
+	x := tensor.New(4, cands.Cols)
+	for i := range 4 {
+		copy(x.Row(i), cands.Row((resist+i)%cands.Rows))
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		j.Run(x)
+	}
+}

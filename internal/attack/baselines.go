@@ -81,7 +81,7 @@ func (a *FGSM) Run(x *tensor.Matrix) []Result {
 	n := x.Rows
 	results := make([]Result, n)
 	adv := x.Clone()
-	grad := a.Model.ClassGradient(x, 0 /* clean */, 1)
+	grad, _ := a.Model.ClassGradient(x, 0 /* clean */, 1)
 	for i := 0; i < n; i++ {
 		results[i] = Result{Original: x.Row(i), Adversarial: adv.Row(i)}
 		if a.Theta <= 0 {

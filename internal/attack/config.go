@@ -72,7 +72,7 @@ func (c Config) Validate() error {
 }
 
 // Build instantiates the configured attack against a crafting model. The
-// optional scorer routes evasion checks through a shared engine (see
+// optional scorer judges the final verdicts through a shared engine (see
 // BatchScorer); nil keeps them on the model's own inference path.
 func (c Config) Build(model *nn.Network, sc BatchScorer) (Attack, error) {
 	if err := c.Validate(); err != nil {

@@ -13,7 +13,8 @@ import (
 // admissible feature with the maximal positive gradient — the API whose
 // addition most increases the clean probability — and raises it by θ. It
 // stops when the sample is classified clean or the iteration budget γ·M is
-// exhausted.
+// exhausted. Every iteration is one forward and one backward pass over the
+// batch: the gradient pass's logits decide which samples already evade.
 //
 // Iteration semantics follow the CleverHans implementation the paper used:
 // the budget γ·M caps *iterations*, and an iteration may revisit a feature
@@ -45,10 +46,11 @@ type JSMA struct {
 	// a real binary would break it, which is exactly why the paper
 	// forbids it.
 	AllowRemoval bool
-	// Scorer, when non-nil, routes the per-iteration evasion checks
+	// Scorer, when non-nil, judges the final verdict (Result.Evaded)
 	// through a shared scoring engine (serve.Scorer) instead of the
-	// crafting model's own inference path. Gradient computation always
-	// stays on Model.
+	// crafting model's own inference path, as PGD and FGSM do. Gradients
+	// and the per-iteration evasion checks stay on Model: each iteration
+	// judges the batch from the logits of its own gradient pass.
 	Scorer BatchScorer
 }
 
@@ -71,9 +73,11 @@ func (j *JSMA) clampHi() float64 {
 }
 
 // Run crafts adversarial examples for every row of x with batched gradient
-// computations: each iteration computes the clean-class gradient for all
-// still-active samples at once, applies one θ step per active sample, and
-// retires samples that evade or exhaust their budget.
+// computations: each iteration computes the clean-class gradient and the
+// logits for the whole batch in one pass, retires samples those logits
+// already classify clean, and applies one θ step per remaining sample. A
+// sample also retires when no admissible feature is left, and every sample
+// stops when the budget runs out.
 func (j *JSMA) Run(x *tensor.Matrix) []Result {
 	if x.Cols != j.Model.InDim() {
 		panic(fmt.Sprintf("attack: JSMA input width %d, want %d", x.Cols, j.Model.InDim()))
@@ -97,20 +101,21 @@ func (j *JSMA) Run(x *tensor.Matrix) []Result {
 	hi := j.clampHi()
 	active := make([]bool, n)
 	modified := make([][]bool, n)
-	logits := sc.Logits(adv)
-	numActive := 0
-	for i := 0; i < n; i++ {
-		if !predictsClean(logits, i) {
-			active[i] = true
-			modified[i] = make([]bool, x.Cols)
-			numActive++
-		}
+	for i := range active {
+		active[i] = true
+		modified[i] = make([]bool, x.Cols)
 	}
-
+	numActive := n
 	for step := 0; step < budget && numActive > 0; step++ {
-		grad := j.Model.ClassGradient(adv, 0 /* clean */, 1)
+		grad, logits := j.Model.ClassGradient(adv, 0 /* clean */, 1)
 		for i := 0; i < n; i++ {
 			if !active[i] {
+				continue
+			}
+			if predictsClean(logits, i) {
+				// Evades already: retire the sample unstepped.
+				active[i] = false
+				numActive--
 				continue
 			}
 			row := adv.Row(i)
@@ -162,14 +167,6 @@ func (j *JSMA) Run(x *tensor.Matrix) []Result {
 			if !modified[i][best] {
 				modified[i][best] = true
 				results[i].ModifiedFeatures = append(results[i].ModifiedFeatures, best)
-			}
-		}
-		// Retire samples that now evade.
-		logits = sc.Logits(adv)
-		for i := 0; i < n; i++ {
-			if active[i] && predictsClean(logits, i) {
-				active[i] = false
-				numActive--
 			}
 		}
 	}

@@ -66,7 +66,7 @@ func (a *PGD) Run(x *tensor.Matrix) []Result {
 	}
 	alpha := a.alpha()
 	for step := 0; step < a.steps(); step++ {
-		grad := a.Model.ClassGradient(adv, 0 /* clean */, 1)
+		grad, _ := a.Model.ClassGradient(adv, 0 /* clean */, 1)
 		for i := 0; i < n; i++ {
 			row := adv.Row(i)
 			orig := x.Row(i)

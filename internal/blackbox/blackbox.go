@@ -262,7 +262,7 @@ func TrainSubstitute(ctx context.Context, oracle Oracle, seed *tensor.Matrix, cf
 		// whole augmented block are fetched in one batched query.
 		grads := make([]*tensor.Matrix, net.OutDim())
 		for c := range grads {
-			grads[c] = net.ClassGradient(x, c, 1)
+			grads[c], _ = net.ClassGradient(x, c, 1)
 		}
 		augmented := tensor.New(x.Rows*2, inDim)
 		copy(augmented.Data[:len(x.Data)], x.Data)

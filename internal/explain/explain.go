@@ -48,7 +48,7 @@ func Explain(d *detector.DNN, x []float64) (*Explanation, error) {
 		return nil, fmt.Errorf("explain: input width %d, want %d", len(x), d.InDim())
 	}
 	xm := tensor.FromSlice(1, len(x), append([]float64(nil), x...))
-	grad := d.Net.ClassGradient(xm, 1 /* malware */, 1)
+	grad, _ := d.Net.ClassGradient(xm, 1 /* malware */, 1)
 	out := &Explanation{MalwareProb: d.Confidence(x)}
 	for f, g := range grad.Row(0) {
 		score := x[f] * g

@@ -244,7 +244,7 @@ func TestClassGradientNumerical(t *testing.T) {
 	}
 	const h = 1e-6
 	for _, class := range []int{0, 1} {
-		grad := net.ClassGradient(x, class, 1)
+		grad, _ := net.ClassGradient(x, class, 1)
 		for i := 0; i < x.Rows; i++ {
 			for j := 0; j < x.Cols; j++ {
 				orig := x.At(i, j)
@@ -295,14 +295,40 @@ func TestClassGradientBatchRowsMatchSingleRows(t *testing.T) {
 		}
 		x := randomInput(18, 6, 5)
 		for c := 0; c < 3; c++ {
-			batch := net.ClassGradient(x, c, 2)
+			batch, _ := net.ClassGradient(x, c, 2)
 			for i := 0; i < x.Rows; i++ {
 				row := tensor.FromSlice(1, 5, append([]float64(nil), x.Row(i)...))
-				single := net.ClassGradient(row, c, 2)
+				single, _ := net.ClassGradient(row, c, 2)
 				for j, v := range single.Data {
 					if got := batch.At(i, j); got != v {
 						t.Fatalf("%s class %d row %d feature %d: batch %v, alone %v", act, c, i, j, got, v)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestClassGradientLogitsMatchLogits pins what JSMA's per-iteration
+// evasion check relies on: the logits ClassGradient returns are those of
+// Logits on the same batch, bit for bit, for every activation and with
+// dropout layers in the stack.
+func TestClassGradientLogitsMatchLogits(t *testing.T) {
+	for _, act := range []string{"relu", "sigmoid", "tanh"} {
+		net, err := NewMLP(MLPConfig{Dims: []int{5, 7, 6, 3}, Activation: act, DropoutRate: 0.2, Seed: 23})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := randomInput(24, 6, 5)
+		want := net.Logits(x)
+		for c := 0; c < 3; c++ {
+			_, got := net.ClassGradient(x, c, 2)
+			if !got.SameShape(want) {
+				t.Fatalf("%s class %d: logits %dx%d, want %dx%d", act, c, got.Rows, got.Cols, want.Rows, want.Cols)
+			}
+			for i, v := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+					t.Fatalf("%s class %d logit %d: %v, Logits %v", act, c, i, got.Data[i], v)
 				}
 			}
 		}
@@ -323,7 +349,8 @@ func TestClassGradientsSumToZero(t *testing.T) {
 	}
 	sum := tensor.New(4, 4)
 	for c := 0; c < 3; c++ {
-		tensor.AXPY(sum, 1, net.ClassGradient(x, c, 1))
+		g, _ := net.ClassGradient(x, c, 1)
+		tensor.AXPY(sum, 1, g)
 	}
 	if m := sum.MaxAbs(); m > 1e-10 {
 		t.Fatalf("Σ_c ∂F_c/∂x = %v, want 0", m)

@@ -190,7 +190,7 @@ func TestSharedWeightsGradientHammer(t *testing.T) {
 	want := make([]*tensor.Matrix, goroutines)
 	for g := range inputs {
 		inputs[g] = randomInput(uint64(70+g), 1+g, 11)
-		want[g] = net.ClassGradient(inputs[g], g%2, 1)
+		want[g], _ = net.ClassGradient(inputs[g], g%2, 1)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan string, goroutines)
@@ -199,7 +199,7 @@ func TestSharedWeightsGradientHammer(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
-				got := net.ClassGradient(inputs[g], g%2, 1)
+				got, _ := net.ClassGradient(inputs[g], g%2, 1)
 				for i, v := range want[g].Data {
 					if got.Data[i] != v {
 						errs <- "ClassGradient diverged under concurrency"

@@ -26,7 +26,9 @@ import (
 )
 
 // Param is one trainable parameter tensor with its gradient accumulator.
-// Optimizers mutate Value in place; Backward accumulates into Grad.
+// Optimizers mutate Value in place; Backward accumulates into Grad. A
+// loaded network's Grad is nil until a training pass first accumulates
+// into it: inference and input gradients never need it.
 type Param struct {
 	Name  string
 	Value *tensor.Matrix
@@ -103,6 +105,9 @@ func (d *Dense) InferInto(dst, x *tensor.Matrix) {
 // can sum batches; the optimizer zeroes them after each step.
 func (d *Dense) Backward(dx, dy, x, _ *tensor.Matrix, params bool) {
 	if params {
+		if d.W.Grad == nil {
+			d.W.Grad, d.B.Grad = tensor.New(d.in, d.out), tensor.New(1, d.out)
+		}
 		tensor.MatMulAT(d.W.Grad, x, dy)
 		for i := 0; i < dy.Rows; i++ {
 			for j, v := range dy.Row(i) {

@@ -317,14 +317,17 @@ func (n *Network) PredictClass(x *tensor.Matrix) []int {
 // Each output row depends only on its own input row: a batch's gradient
 // equals each row's own, bit for bit.
 //
-// The returned matrix is freshly allocated and has the batch's shape
-// (rows = samples, cols = input width).
-func (n *Network) ClassGradient(x *tensor.Matrix, class int, temperature float64) *tensor.Matrix {
+// It also returns the logits of the forward pass the gradient was taken
+// at, bit-identical to Logits(x), so an iterative attack can judge the
+// current batch and step it from one pass. Both matrices are freshly
+// allocated: grad has the batch's shape (rows = samples, cols = input
+// width) and logits is rows × OutDim.
+func (n *Network) ClassGradient(x *tensor.Matrix, class int, temperature float64) (grad, logits *tensor.Matrix) {
 	if class < 0 || class >= n.outDim {
 		panic(fmt.Sprintf("nn: ClassGradient class %d out of [0,%d)", class, n.outDim))
 	}
 	ws := n.getWorkspace()
-	logits := n.forward(ws, x, false)
+	logits = n.forward(ws, x, false)
 	// dF_c/dz_j = p_c (δ_cj − p_j) / T for softmax with temperature T.
 	seed := sized(ws.grads[len(n.layers)], logits.Rows, logits.Cols)
 	ws.grads[len(n.layers)] = seed
@@ -340,7 +343,8 @@ func (n *Network) ClassGradient(x *tensor.Matrix, class int, temperature float64
 			row[j] = pc * (delta - p) / temperature
 		}
 	}
-	grad := n.backward(ws, seed, false).Clone()
+	grad = n.backward(ws, seed, false).Clone()
+	logits = logits.Clone() // the workspace goes back to the pool
 	n.putWorkspace(ws)
-	return grad
+	return grad, logits
 }

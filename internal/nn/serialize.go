@@ -7,13 +7,8 @@ import (
 	"os"
 
 	"malevade/internal/rng"
+	"malevade/internal/tensor"
 )
-
-// zeroRNG supplies throwaway initialization entropy for layers whose weights
-// are immediately overwritten by deserialized values.
-func zeroRNG() *rng.RNG { return rng.New(0) }
-
-func seededRNG(seed uint64) *rng.RNG { return rng.New(seed) }
 
 // Model (de)serialization. A Network is flattened to a Spec — a plain data
 // description of the layer stack plus weights — and encoded with gob.
@@ -71,7 +66,11 @@ func (n *Network) Spec() *Spec {
 	return s
 }
 
-// FromSpec reconstructs a Network from its serialized description.
+// FromSpec reconstructs a Network from its serialized description in one
+// pass. It takes ownership of the spec's weight slices: each dense layer
+// uses its W and B as its parameters, with no copy, so the caller must not
+// modify or reuse them afterwards. Parameter gradients are allocated only
+// when a training pass first accumulates into them.
 func FromSpec(s *Spec) (*Network, error) {
 	if s.Format != SpecFormat {
 		return nil, fmt.Errorf("nn: unsupported spec format %q (want %q)", s.Format, SpecFormat)
@@ -87,10 +86,12 @@ func FromSpec(s *Spec) (*Network, error) {
 				return nil, fmt.Errorf("nn: layer %d: weight block %d / bias %d inconsistent with %dx%d",
 					i, len(ls.W), len(ls.B), ls.In, ls.Out)
 			}
-			d := NewDense(ls.In, ls.Out, zeroRNG())
-			copy(d.W.Value.Data, ls.W)
-			copy(d.B.Value.Data, ls.B)
-			layers = append(layers, d)
+			layers = append(layers, &Dense{
+				W:   &Param{Name: "W", Value: tensor.FromSlice(ls.In, ls.Out, ls.W)},
+				B:   &Param{Name: "b", Value: tensor.FromSlice(1, ls.Out, ls.B)},
+				in:  ls.In,
+				out: ls.Out,
+			})
 		case "relu":
 			layers = append(layers, NewReLU())
 		case "sigmoid":
@@ -98,7 +99,7 @@ func FromSpec(s *Spec) (*Network, error) {
 		case "tanh":
 			layers = append(layers, NewTanh())
 		case "dropout":
-			layers = append(layers, NewDropout(ls.Rate, seededRNG(ls.Seed)))
+			layers = append(layers, NewDropout(ls.Rate, rng.New(ls.Seed)))
 		default:
 			return nil, fmt.Errorf("nn: layer %d: unknown type %q", i, ls.Type)
 		}

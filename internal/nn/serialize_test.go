@@ -220,3 +220,73 @@ func TestFromSpecValidatesShapes(t *testing.T) {
 		})
 	}
 }
+
+// TestLoadedNetworkTrainsLikeOriginal: a loaded network starts without
+// parameter-gradient buffers, keeps them unallocated through inference and
+// input gradients, and allocates them on its first training pass, after
+// which it trains to bit-identical weights with the network it was saved
+// from.
+func TestLoadedNetworkTrainsLikeOriginal(t *testing.T) {
+	r := rng.New(41)
+	net, err := NewMLP(MLPConfig{Dims: []int{6, 9, 5, 2}, Activation: "tanh", Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := net.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.New(16, 6)
+	for i := range x.Data {
+		x.Data[i] = r.Float64()
+	}
+	labels := make([]int, x.Rows)
+	for i := range labels {
+		labels[i] = i % 2
+	}
+	loaded.Logits(x)
+	loaded.ClassGradient(x, 0, 1)
+	for _, p := range loaded.Params() {
+		if p.Grad != nil {
+			t.Fatalf("loaded %s has a gradient buffer before training", p.Name)
+		}
+	}
+	cfg := TrainConfig{Epochs: 2, BatchSize: 4, Seed: 43}
+	for _, n := range []*Network{net, loaded} {
+		if err := Train(n, x, OneHot(labels, 2), cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, got := net.Params(), loaded.Params()
+	for i := range want {
+		for k, v := range want[i].Value.Data {
+			if got[i].Value.Data[k] != v {
+				t.Fatalf("param %d (%s) element %d: loaded trained to %v, original %v",
+					i, want[i].Name, k, got[i].Value.Data[k], v)
+			}
+		}
+	}
+}
+
+// BenchmarkLoad times decoding and building the 491-512-256-2 target from
+// its saved form, the per-job model load of a campaign.
+func BenchmarkLoad(b *testing.B) {
+	net, err := NewMLP(MLPConfig{Dims: []int{491, 512, 256, 2}, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := net.Save(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -9,6 +9,10 @@
 // kernel writes into a caller-supplied destination when the shape is fixed,
 // and the Matrix type exposes its backing slice for zero-copy interop with
 // the dataset pipeline.
+//
+// The float64 products fix the order in which each output element sums its
+// terms (see MatMul and MatMulBT). Their blocked loops keep that order, so
+// every result is bit-identical to the plain scalar loop.
 package tensor
 
 import (
@@ -140,12 +144,19 @@ func (m *Matrix) Transpose() *Matrix {
 // MatMul computes dst = a × b. Shapes must be compatible and dst must be
 // a.Rows × b.Cols; dst may not alias a or b.
 //
-// The kernel iterates (i, k, j) so the inner loop is a unit-stride
-// axpy over b's rows — the standard cache-friendly ordering for row-major
-// data; it is 5-10× faster than the naive (i, j, k) order at the 491-wide
-// layers this repository trains. Large products additionally shard output
-// rows across GOMAXPROCS goroutines; row shards write disjoint memory so
-// no synchronization beyond the final join is needed.
+// Summation contract (pinned bit for bit by the package's tests against a
+// plain scalar loop): every output element starts at 0 and adds the terms
+// a[i][k]·b[k][j] in ascending k, each a rounded multiply followed by a
+// rounded add, skipping every k whose a[i][k] is exactly zero. The paper's
+// binary feature rows are mostly zeros, so the skip is worth real time.
+// (Go keeps the two roundings apart on amd64; other architectures may fuse
+// them into one FMA, so the bits are pinned per architecture.) The kernel
+// walks an output row once per four non-zero k, adding their four terms in
+// order to the element held in a register: blocking changes how often the
+// row is loaded and stored, never which terms are added or in what order.
+// Large products additionally shard output rows across GOMAXPROCS
+// goroutines; shards write disjoint rows, so parallelism cannot change the
+// bits either.
 func MatMul(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul inner dims %d != %d", a.Cols, b.Rows))
@@ -170,15 +181,39 @@ func matMulRange(dst, a, b *Matrix, lo, hi int) {
 			dRow[j] = 0
 		}
 		aRow := a.Row(i)
+		// Non-zero k wait in ks until four of them share one pass.
+		var ks [4]int
+		nk := 0
 		for k, av := range aRow {
 			if av == 0 {
 				continue
 			}
-			bRow := b.Row(k)
-			for j, bv := range bRow {
+			ks[nk] = k
+			if nk++; nk == 4 {
+				axpy4(dRow, aRow[ks[0]], aRow[ks[1]], aRow[ks[2]], aRow[ks[3]],
+					b.Row(ks[0]), b.Row(ks[1]), b.Row(ks[2]), b.Row(ks[3]))
+				nk = 0
+			}
+		}
+		for _, k := range ks[:nk] {
+			av := aRow[k]
+			for j, bv := range b.Row(k) {
 				dRow[j] += av * bv
 			}
 		}
+	}
+}
+
+// axpy4 adds a0·b0[j], a1·b1[j], a2·b2[j] and a3·b3[j] to d[j], in that
+// order, for every j.
+func axpy4(d []float64, a0, a1, a2, a3 float64, b0, b1, b2, b3 []float64) {
+	b0, b1, b2, b3 = b0[:len(d)], b1[:len(d)], b2[:len(d)], b3[:len(d)]
+	for j, s := range d {
+		s += a0 * b0[j]
+		s += a1 * b1[j]
+		s += a2 * b2[j]
+		s += a3 * b3[j]
+		d[j] = s
 	}
 }
 
@@ -201,7 +236,17 @@ func matMulParallel(dst, a, b *Matrix, workers int) {
 }
 
 // MatMulBT computes dst = a × bᵀ without materializing the transpose.
-// dst must be a.Rows × b.Rows.
+// dst must be a.Rows × b.Rows; dst may not alias a or b.
+//
+// Summation contract (pinned bit for bit like MatMul's): every output
+// element dst[i][j] starts at 0 and adds the terms a[i][k]·b[j][k] in
+// ascending k, each a rounded multiply followed by a rounded add, with no
+// term skipped. The kernel computes 4×2 blocks of outputs at once: eight
+// independent sums in registers share each load of a and b, where a single
+// dot product would wait on one dependent chain of adds. Blocking only
+// interleaves independent sums; each one adds its terms in the same order.
+// The tails (the last 1-3 rows, an odd last column) use Dot, which sums the
+// same way.
 func MatMulBT(dst, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulBT inner dims %d != %d", a.Cols, b.Cols))
@@ -209,16 +254,42 @@ func MatMulBT(dst, a, b *Matrix) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulBT dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
-	for i := 0; i < a.Rows; i++ {
-		aRow := a.Row(i)
-		dRow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			bRow := b.Row(j)
-			sum := 0.0
-			for k, av := range aRow {
-				sum += av * bRow[k]
+	i := 0
+	for ; i+4 <= a.Rows; i += 4 {
+		a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
+		a1, a2, a3 = a1[:len(a0)], a2[:len(a0)], a3[:len(a0)]
+		d0, d1, d2, d3 := dst.Row(i), dst.Row(i+1), dst.Row(i+2), dst.Row(i+3)
+		j := 0
+		for ; j+2 <= b.Rows; j += 2 {
+			b0, b1 := b.Row(j), b.Row(j+1)
+			b0, b1 = b0[:len(a0)], b1[:len(a0)]
+			var s00, s01, s10, s11, s20, s21, s30, s31 float64
+			for k, x0 := range a0 {
+				y0, y1 := b0[k], b1[k]
+				x1, x2, x3 := a1[k], a2[k], a3[k]
+				s00 += x0 * y0
+				s01 += x0 * y1
+				s10 += x1 * y0
+				s11 += x1 * y1
+				s20 += x2 * y0
+				s21 += x2 * y1
+				s30 += x3 * y0
+				s31 += x3 * y1
 			}
-			dRow[j] = sum
+			d0[j], d0[j+1] = s00, s01
+			d1[j], d1[j+1] = s10, s11
+			d2[j], d2[j+1] = s20, s21
+			d3[j], d3[j+1] = s30, s31
+		}
+		if j < b.Rows {
+			bRow := b.Row(j)
+			d0[j], d1[j], d2[j], d3[j] = Dot(a0, bRow), Dot(a1, bRow), Dot(a2, bRow), Dot(a3, bRow)
+		}
+	}
+	for ; i < a.Rows; i++ {
+		aRow, dRow := a.Row(i), dst.Row(i)
+		for j := range dRow {
+			dRow[j] = Dot(aRow, b.Row(j))
 		}
 	}
 }
