@@ -87,13 +87,13 @@ type (
 	// daemon's metrics in a larger process's exposition; nil makes each
 	// tier create its own. See docs/OBSERVABILITY.md.
 	MetricsRegistry = obs.Registry
-	// Scorer is the concurrent batched scoring engine: a worker pool
-	// that coalesces concurrent callers' rows into shared batched
-	// forward passes. It implements Detector and is safe for any number
-	// of concurrent callers.
+	// Scorer is the scoring engine: each call runs its forward pass on
+	// the caller's goroutine once it holds one of GOMAXPROCS slots, and
+	// callers beyond that wait in arrival order. It implements Detector
+	// and is safe for any number of concurrent callers.
 	Scorer = serve.Scorer
-	// ScorerOptions tunes a Scorer's worker count, batch cap and queue
-	// depth; the zero value picks defaults.
+	// ScorerOptions configures a Scorer: it carries only the metrics
+	// registry, and the zero value is ready to use.
 	ScorerOptions = serve.Options
 	// Server is the HTTP scoring daemon: POST /v1/score and /v1/label,
 	// GET /healthz and /v1/stats, atomic model hot-reload via POST
@@ -326,14 +326,12 @@ const (
 const NumFeatures = 491
 
 // Inference precisions for ServerOptions.BinaryPrecision, Scorer.EnsurePlan
-// and Scorer.Verdicts32. Float64 is the accuracy reference every other
-// precision is parity-tested against; float32 is the register-tiled hot
-// path binary-framed requests use by default; int8 is the opt-in
-// quantized variant (smaller weights, scalar kernels).
+// and Scorer.Verdicts32. Float64 is the accuracy reference float32 is
+// parity-tested against; float32 is the register-tiled hot path
+// binary-framed requests use by default.
 const (
 	PrecisionFloat64 = serve.PrecisionFloat64
 	PrecisionFloat32 = serve.PrecisionFloat32
-	PrecisionInt8    = serve.PrecisionInt8
 )
 
 // Scoring request codecs for Client.Codec.
@@ -441,9 +439,9 @@ func NewClient(baseURL string) *Client { return client.New(baseURL) }
 // supplies training data for model-producing defenses (advtrain, distill,
 // pca) and clean calibration rows for threshold calibration; it may be
 // nil for chains that need neither (squeezing with an explicit
-// threshold). The result is a Detector servable through NewScorer's
-// batched engine when it is a plain DNN, or directly; the HTTP daemon
-// applies data-free chains itself via ServerOptions.Defenses.
+// threshold). The result is a Detector servable through NewScorer when
+// it is a plain DNN, or directly; the HTTP daemon applies data-free
+// chains itself via ServerOptions.Defenses.
 func ApplyDefenses(base *DNN, corpus *Corpus, chain DefenseChain) (Detector, error) {
 	env := defense.Env{Base: base}
 	if corpus != nil {
@@ -498,11 +496,10 @@ func TrainSubstitute(train *Dataset, epochs int, seed uint64) (*DNN, error) {
 	})
 }
 
-// NewScorer starts a concurrent batched scoring engine over d's network,
-// preserving d's softmax temperature. Scoring through the engine is
-// bit-identical to scoring through d directly; callers must Close the
-// scorer to release its workers, and must not train d's network while the
-// scorer is live.
+// NewScorer returns a scoring engine over d's network, preserving d's
+// softmax temperature. Scoring through the engine is bit-identical to
+// scoring through d directly; callers must not train d's network while
+// the scorer is live, and Close marks it out of use.
 func NewScorer(d *DNN, opts ScorerOptions) *Scorer {
 	return serve.New(d.Net, d.Temperature, opts)
 }

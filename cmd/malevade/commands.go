@@ -181,18 +181,16 @@ func cmdAttack(args []string) error {
 	return nil
 }
 
-// cmdScore drives the concurrent batched scoring engine over a saved model:
-// the dataset's rows are split among -clients goroutines whose requests
-// coalesce inside the engine — the serving shape of a production detector.
+// cmdScore drives the scoring engine over a saved model: the dataset's rows
+// are split among -clients goroutines that score their shares concurrently
+// — the serving shape of a production detector.
 func cmdScore(args []string) error {
 	fs := flag.NewFlagSet("score", flag.ContinueOnError)
 	modelPath := fs.String("model", "model.gob", "detector model (from 'malevade train')")
 	dataPath := fs.String("data", "data/test.gob", "dataset to score")
-	workers := fs.Int("workers", 0, "engine worker goroutines (0 = GOMAXPROCS)")
-	batch := fs.Int("batch", 256, "max rows per merged forward pass")
 	clients := fs.Int("clients", 8, "concurrent client goroutines submitting rows")
 	precision := fs.String("precision", serve.PrecisionFloat64,
-		"inference precision: float64 (reference), float32 (tiled hot path), or int8 (quantized)")
+		"inference precision: float64 (reference) or float32 (tiled hot path)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -210,7 +208,7 @@ func cmdScore(args []string) error {
 	if *clients <= 0 {
 		*clients = 1
 	}
-	sc := serve.New(net, 1, serve.Options{Workers: *workers, MaxBatch: *batch})
+	sc := serve.New(net, 1, serve.Options{})
 	defer sc.Close()
 	if *precision != serve.PrecisionFloat64 {
 		if err := sc.EnsurePlan(*precision); err != nil {
@@ -272,7 +270,7 @@ func cmdScore(args []string) error {
 	fmt.Printf("samples scored:      %d\n", rows)
 	fmt.Printf("flagged as malware:  %d (%.4f)\n", malware, float64(malware)/float64(rows))
 	fmt.Printf("label agreement:     %.4f\n", float64(correct)/float64(rows))
-	fmt.Printf("merged batches:      %d (mean %.1f rows/batch)\n", batches, float64(scored)/float64(batches))
+	fmt.Printf("forward passes:      %d (mean %.1f rows/pass)\n", batches, float64(scored)/float64(batches))
 	fmt.Printf("throughput:          %.0f rows/s (%d clients, %s)\n",
 		float64(rows)/elapsed.Seconds(), *clients, elapsed.Round(time.Millisecond))
 	return nil

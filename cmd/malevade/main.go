@@ -85,7 +85,7 @@ commands:
   dataset   synthesize and save a corpus
   train     train a target or substitute model
   attack    run the JSMA attack against a saved model
-  score     score a dataset through the concurrent batched engine
+  score     score a dataset through the scoring engine
   serve     run the HTTP scoring daemon (hot-reload via SIGHUP or /v1/reload)
   gateway   front a fleet of serve replicas: probing, failover, fan-out
   campaign  submit/watch/list/cancel evasion campaigns on a daemon
@@ -119,7 +119,6 @@ func cmdRepro(args []string) error {
 		return err
 	}
 	lab := experiments.NewLab(profile)
-	defer lab.Close()
 	if !*quiet {
 		lab.Log = os.Stderr
 	}

@@ -78,13 +78,12 @@ func TestDatasetTrainAttackExplainPipeline(t *testing.T) {
 
 	if err := run([]string{"score",
 		"-model", model, "-data", filepath.Join(dataDir, "test.gob"),
-		"-workers", "2", "-batch", "32", "-clients", "4"}); err != nil {
+		"-clients", "4"}); err != nil {
 		t.Fatalf("score: %v", err)
 	}
 	if err := run([]string{"score",
 		"-model", model, "-data", filepath.Join(dataDir, "test.gob"),
-		"-workers", "2", "-batch", "32", "-clients", "4",
-		"-precision", "float32"}); err != nil {
+		"-clients", "4", "-precision", "float32"}); err != nil {
 		t.Fatalf("score -precision float32: %v", err)
 	}
 	if err := run([]string{"score", "-model", model,

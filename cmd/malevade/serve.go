@@ -19,8 +19,6 @@ func cmdServe(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:8446", "listen address")
 	modelPath := fs.String("model", "model.gob", "detector model (from 'malevade train')")
 	temp := fs.Float64("temp", 1, "softmax temperature for the probability head")
-	workers := fs.Int("workers", 0, "engine worker goroutines (0 = GOMAXPROCS)")
-	batch := fs.Int("batch", 256, "max rows per merged forward pass")
 	maxRows := fs.Int("max-rows", 4096, "max rows per scoring request")
 	maxBytes := fs.Int64("max-bytes", 32<<20, "max request body bytes")
 	timeouts := httpTimeoutFlags(fs)
@@ -29,7 +27,7 @@ func cmdServe(args []string) error {
 	registryDir := fs.String("registry", "",
 		"model-registry directory: serve named, versioned detectors via /v1/models (contents survive restarts)")
 	precision := fs.String("precision", serve.PrecisionFloat32,
-		"inference precision for binary-framed requests: float32, int8, or float64 (JSON requests always use the float64 reference)")
+		"inference precision for binary-framed requests: float32 or float64 (JSON requests always use the float64 reference)")
 	record := fs.Int("record", 0,
 		"record every Nth served score/label row into the results store for 'malevade mine' (0 = off; requires -registry)")
 	obsf := observabilityFlags(fs)
@@ -52,7 +50,6 @@ func cmdServe(args []string) error {
 	srv, err := server.New(server.Options{
 		ModelPath:       *modelPath,
 		Temperature:     *temp,
-		Scorer:          serve.Options{Workers: *workers, MaxBatch: *batch},
 		MaxRows:         *maxRows,
 		MaxBodyBytes:    *maxBytes,
 		Defenses:        defenses,

@@ -111,12 +111,12 @@ func (s Stats) String() string {
 }
 
 // BatchScorer scores a batch of feature rows to logits. Both *nn.Network
-// (serial pooled inference) and *serve.Scorer (the concurrent batched
-// engine) satisfy it; every attack judges its final verdicts through one,
-// so multi-sample crafting coalesces with other callers when an engine is
-// plugged in. Implementations must return numbers identical to
-// Model.Forward(x, false): JSMA stops stepping a sample on the crafting
-// model's own logits, and the final verdict must agree with them.
+// (pooled inference) and *serve.Scorer (the same inference behind the
+// engine's CPU slots, counted in its stats) satisfy it; every attack
+// judges its final verdicts through one. Implementations must return
+// numbers identical to Model.Forward(x, false): JSMA stops stepping a
+// sample on the crafting model's own logits, and the final verdict must
+// agree with them.
 type BatchScorer interface {
 	Logits(x *tensor.Matrix) *tensor.Matrix
 }

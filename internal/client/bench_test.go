@@ -71,7 +71,7 @@ func benchSetup(b *testing.B) {
 }
 
 // BenchmarkDirectScore is the in-process reference: one 256-row batch per
-// iteration through the concurrent batched engine.
+// iteration through the scoring engine's float64 path.
 func BenchmarkDirectScore(b *testing.B) {
 	benchSetup(b)
 	b.ResetTimer()
@@ -93,22 +93,6 @@ func BenchmarkDirectScoreF32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := benchScorer.Verdicts32(benchX32, serve.PrecisionFloat32); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(benchBatch)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-}
-
-// BenchmarkDirectScoreInt8 is the opt-in int8-quantized variant of the
-// same workload.
-func BenchmarkDirectScoreInt8(b *testing.B) {
-	benchSetup(b)
-	if err := benchScorer.EnsurePlan(serve.PrecisionInt8); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := benchScorer.Verdicts32(benchX32, serve.PrecisionInt8); err != nil {
 			b.Fatal(err)
 		}
 	}

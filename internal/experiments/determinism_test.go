@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// The concurrent engine must not change a single byte of any artifact: each
+// Fanning sweeps out must not change a single byte of any artifact: each
 // scored row depends only on its own input row, sweep points land in
 // index-addressed slots, and every attack is deterministic per strength.
-// These goldens compare the Serial reference path against the concurrent
+// These goldens compare the Serial reference path against the fanned-out
 // path under an inflated GOMAXPROCS, byte for byte.
 
 func runArtifact(t *testing.T, l *Lab, id string) []byte {
@@ -29,16 +29,15 @@ func TestArtifactsDeterministicSerialVsConcurrent(t *testing.T) {
 	serialLab := NewLab(Small)
 	serialLab.Serial = true
 	concLab := NewLab(Small)
-	defer concLab.Close()
 
-	// Force real fan-out even on a single-core machine: sweep workers,
-	// scorer workers and the pooled inference path all key off GOMAXPROCS.
+	// Force real fan-out even on a single-core machine: sweep workers and
+	// the pooled inference path key off GOMAXPROCS.
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
 
 	// table1 is the issue's golden (corpus generation only); fig3a covers
-	// the full concurrent surface: parallel sweeps crafting on one shared
-	// model and engine-backed evasion scoring.
+	// the full concurrent surface: parallel sweeps crafting and scoring on
+	// one shared model.
 	for _, id := range []string{"table1", "fig3a"} {
 		runtime.GOMAXPROCS(1)
 		serial := runArtifact(t, serialLab, id)

@@ -346,18 +346,7 @@ func Figure2(l *Lab, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// The oracle answers label queries through the concurrent engine —
-	// the deployment shape the framework models, where the target is a
-	// production scoring service (numerically identical either way).
-	var oracleTarget detector.Detector = target
-	if !l.Serial {
-		sc, err := l.TargetScorer()
-		if err != nil {
-			return err
-		}
-		oracleTarget = sc
-	}
-	oracle := blackbox.NewDetectorOracle(oracleTarget)
+	oracle := blackbox.NewDetectorOracle(target)
 	seed := blackbox.SeedSet(ac.Val, 40, l.Profile.Seed+43)
 	res, err := blackbox.TrainSubstitute(context.Background(), oracle, seed, blackbox.SubstituteConfig{
 		Arch:           detector.ArchTarget,

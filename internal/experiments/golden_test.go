@@ -12,7 +12,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the committed golden arti
 
 // The committed goldens pin the rendered experiment output at the Small
 // profile's default seed. The serial-vs-concurrent determinism test proves
-// the engine doesn't change the numbers; these goldens additionally prove
+// fanning out doesn't change the numbers; these goldens additionally prove
 // that *refactors* don't silently change them either — any diff in the
 // reproduced tables/figures must show up as an explicit golden update in
 // review, never as a silent drift.
@@ -22,7 +22,6 @@ var updateGolden = flag.Bool("update", false, "rewrite the committed golden arti
 //	go test ./internal/experiments -run TestGoldenArtifacts -update
 func TestGoldenArtifacts(t *testing.T) {
 	lab := NewLab(Small)
-	defer lab.Close()
 	for _, id := range []string{"table1", "fig3a"} {
 		t.Run(id, func(t *testing.T) {
 			got := runArtifact(t, lab, id)

@@ -12,7 +12,6 @@ import (
 	"malevade/internal/attack"
 	"malevade/internal/dataset"
 	"malevade/internal/detector"
-	"malevade/internal/serve"
 	"malevade/internal/tensor"
 )
 
@@ -95,18 +94,16 @@ func ProfileByName(name string) (Profile, error) {
 	}
 }
 
-// Lab owns the corpora, trained models and scoring engines an experiment
-// run shares. All getters are lazy, memoized and safe for concurrent use
-// (two goroutines asking for the same model get one training run). Labs
-// that created scorers should be Closed to release the worker pools.
+// Lab owns the corpora and trained models an experiment run shares. All
+// getters are lazy, memoized and safe for concurrent use (two goroutines
+// asking for the same model get one training run).
 type Lab struct {
 	Profile Profile
 	// Log receives training progress when non-nil.
 	Log io.Writer
-	// Serial forces every driver onto the reference path: raw-network
-	// scoring, no serve engine, no sweep fan-out. The determinism tests
-	// compare the concurrent engine's artifacts against this path
-	// byte for byte.
+	// Serial runs every sweep's grid points one after another instead of
+	// fanning them out across goroutines. The determinism tests compare
+	// the fanned-out artifacts against this path byte for byte.
 	Serial bool
 
 	mu             sync.Mutex
@@ -117,57 +114,10 @@ type Lab struct {
 	binSubstitute  *detector.DNN
 	testMalware    *dataset.Dataset
 	advGrey02      *tensor.Matrix // grey-box advEx (θ=0.1, γ=0.02) on test malware
-	targetScorer   *serve.Scorer
-	subScorer      *serve.Scorer
 }
 
 // NewLab creates a lab for the profile.
 func NewLab(p Profile) *Lab { return &Lab{Profile: p} }
-
-// TargetScorer returns the lab's shared concurrent scoring engine over the
-// target model, creating it (and the target) on first use.
-func (l *Lab) TargetScorer() (*serve.Scorer, error) {
-	d, err := l.Target()
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.targetScorer == nil {
-		l.targetScorer = serve.New(d.Net, d.Temperature, serve.Options{})
-	}
-	return l.targetScorer, nil
-}
-
-// SubstituteScorer returns the lab's shared concurrent scoring engine over
-// the substitute model, creating it (and the substitute) on first use.
-func (l *Lab) SubstituteScorer() (*serve.Scorer, error) {
-	d, err := l.Substitute()
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.subScorer == nil {
-		l.subScorer = serve.New(d.Net, d.Temperature, serve.Options{})
-	}
-	return l.subScorer, nil
-}
-
-// Close releases the worker pools of any scorers the lab created. The lab
-// stays usable afterwards; scorers are recreated on demand.
-func (l *Lab) Close() {
-	l.mu.Lock()
-	ts, ss := l.targetScorer, l.subScorer
-	l.targetScorer, l.subScorer = nil, nil
-	l.mu.Unlock()
-	if ts != nil {
-		ts.Close()
-	}
-	if ss != nil {
-		ss.Close()
-	}
-}
 
 func (l *Lab) logf(format string, args ...any) {
 	if l.Log != nil {
@@ -366,21 +316,13 @@ func (l *Lab) GreyAdvExamples() (*tensor.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	var sc attack.BatchScorer
-	if !l.Serial {
-		engine, err := l.SubstituteScorer()
-		if err != nil {
-			return nil, err
-		}
-		sc = engine
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.advGrey02 != nil {
 		return l.advGrey02, nil
 	}
 	l.logf("crafting grey-box advEx (theta=0.1, gamma=0.02)...\n")
-	j := &attack.JSMA{Model: sub.Net, Theta: 0.1, Gamma: 0.02, Scorer: sc}
+	j := &attack.JSMA{Model: sub.Net, Theta: 0.1, Gamma: 0.02}
 	l.advGrey02 = attack.AdvMatrix(j.Run(mal.X))
 	return l.advGrey02, nil
 }

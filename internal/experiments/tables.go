@@ -211,18 +211,7 @@ func DefenseResults(l *Lab) ([]DefenseRow, error) {
 		}
 	}
 
-	// The undefended row scores through the concurrent engine; every
-	// defended detector wraps the (now concurrency-safe) DNN inference
-	// path directly.
-	var undefended detector.Detector = target
-	if !l.Serial {
-		sc, err := l.TargetScorer()
-		if err != nil {
-			return nil, err
-		}
-		undefended = sc
-	}
-	rows := []DefenseRow{evalOne("No Defense", undefended)}
+	rows := []DefenseRow{evalOne("No Defense", target)}
 
 	// Adversarial training.
 	sets, _, err := advTrainingSets(l)

@@ -10,66 +10,46 @@ import (
 
 // Plan32 is a compiled reduced-precision inference program for one
 // Network: the layer stack lowered to a flat list of steps over float32
-// (or int8-quantized) copies of the weights, executed with
-// tensor.MatMulF32's vector kernels. The float64 Network remains the
-// accuracy reference — a plan is an opt-in hot path whose agreement with
-// the reference is pinned by this package's parity tests, not a
-// replacement for it. Training, gradients, and serialization stay
-// float64-only.
+// copies of the weights, executed with tensor.MatMulF32's vector kernels.
+// The float64 Network remains the accuracy reference — a plan is an
+// opt-in hot path whose agreement with the reference is pinned by this
+// package's parity tests, not a replacement for it. Training, gradients,
+// and serialization stay float64-only.
 //
 // A Plan32 snapshots the weights at compile time: later mutation of the
 // source network (training) is not reflected. Like Network, a compiled
 // plan is safe for any number of concurrent Logits callers.
 type Plan32 struct {
-	inDim     int
-	outDim    int
-	precision string
-	steps     []step32
-	wsPool    sync.Pool
+	inDim  int
+	outDim int
+	steps  []step32
+	wsPool sync.Pool
 }
 
 type stepKind uint8
 
 const (
 	stepDenseF32 stepKind = iota
-	stepDenseInt8
 	stepReLU
 	stepSigmoid
 	stepTanh
 )
 
-// step32 is one lowered stage: a dense matmul-plus-bias in the plan's
-// precision, or an element-wise activation. Dropout layers vanish at
-// compile time (inference-mode dropout is the identity).
+// step32 is one lowered stage: a float32 dense matmul-plus-bias, or an
+// element-wise activation. Dropout layers vanish at compile time
+// (inference-mode dropout is the identity).
 type step32 struct {
 	kind stepKind
-	w    *tensor.Matrix32      // stepDenseF32
-	q    *tensor.QuantizedInt8 // stepDenseInt8
-	b    []float32             // dense bias
-	out  int                   // output width of this step
+	w    *tensor.Matrix32 // stepDenseF32
+	b    []float32        // dense bias
+	out  int              // output width of this step
 }
 
 // CompileF32 lowers the network to a float32 plan. It fails if any layer
 // kind has no float32 lowering or any weight is not representable in
 // float32 (overflow to ±Inf, or NaN in the source).
 func (n *Network) CompileF32() (*Plan32, error) {
-	return n.compile32(false)
-}
-
-// CompileInt8 lowers the network to a plan whose dense layers store
-// int8-quantized weights (symmetric per-column scales) and quantize each
-// input row dynamically; biases and activations stay float32. This is the
-// memory-lean variant — accuracy loss is real and the parity tests bound
-// it, so it stays behind explicit opt-in everywhere it is exposed.
-func (n *Network) CompileInt8() (*Plan32, error) {
-	return n.compile32(true)
-}
-
-func (n *Network) compile32(int8Weights bool) (*Plan32, error) {
-	p := &Plan32{inDim: n.inDim, outDim: n.outDim, precision: PrecisionF32}
-	if int8Weights {
-		p.precision = PrecisionInt8
-	}
+	p := &Plan32{inDim: n.inDim, outDim: n.outDim}
 	width := n.inDim
 	for i, l := range n.layers {
 		switch l := l.(type) {
@@ -85,11 +65,7 @@ func (n *Network) compile32(int8Weights bool) (*Plan32, error) {
 					return nil, fmt.Errorf("nn: layer %d: bias not representable in float32", i)
 				}
 			}
-			st := step32{kind: stepDenseF32, w: w32, b: b32, out: l.out}
-			if int8Weights {
-				st = step32{kind: stepDenseInt8, q: tensor.QuantizeInt8(w32), b: b32, out: l.out}
-			}
-			p.steps = append(p.steps, st)
+			p.steps = append(p.steps, step32{kind: stepDenseF32, w: w32, b: b32, out: l.out})
 			width = l.out
 		case *ReLU:
 			p.steps = append(p.steps, step32{kind: stepReLU, out: width})
@@ -107,12 +83,9 @@ func (n *Network) compile32(int8Weights bool) (*Plan32, error) {
 	return p, nil
 }
 
-// PrecisionF32 and PrecisionInt8 name the two reduced-precision plan
-// variants; the float64 reference path is selected by their absence.
-const (
-	PrecisionF32  = "float32"
-	PrecisionInt8 = "int8"
-)
+// PrecisionF32 names the float32 plan; the float64 reference path is
+// selected by its absence.
+const PrecisionF32 = "float32"
 
 // InDim returns the expected input width.
 func (p *Plan32) InDim() int { return p.inDim }
@@ -120,16 +93,10 @@ func (p *Plan32) InDim() int { return p.inDim }
 // OutDim returns the logits width.
 func (p *Plan32) OutDim() int { return p.outDim }
 
-// Precision returns PrecisionF32 or PrecisionInt8.
-func (p *Plan32) Precision() string { return p.precision }
-
 // Workspace32 holds one concurrent reader's scratch for plan execution:
-// per-step activation buffers plus the int8 path's quantization scratch.
-// Single-caller, like nn.Workspace.
+// per-step activation buffers. Single-caller, like nn.Workspace.
 type Workspace32 struct {
 	bufs []*tensor.Matrix32
-	xq   []int8
-	acc  []int32
 }
 
 // NewWorkspace returns an empty workspace for this plan.
@@ -159,15 +126,6 @@ func (p *Plan32) Infer(ws *Workspace32, x *tensor.Matrix32) *tensor.Matrix32 {
 		switch st.kind {
 		case stepDenseF32:
 			tensor.MatMulF32(dst, h, st.w)
-			tensor.AddRowVector32(dst, st.b)
-		case stepDenseInt8:
-			if len(ws.xq) < h.Cols {
-				ws.xq = make([]int8, h.Cols)
-			}
-			if len(ws.acc) < st.out {
-				ws.acc = make([]int32, st.out)
-			}
-			tensor.MatMulInt8(dst, h, st.q, ws.xq, ws.acc)
 			tensor.AddRowVector32(dst, st.b)
 		case stepReLU:
 			for j, v := range h.Data {

@@ -78,29 +78,13 @@ func TestPlan32Float32Parity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Precision() != PrecisionF32 || plan.InDim() != 491 || plan.OutDim() != 2 {
-		t.Fatalf("plan metadata: %q %d %d", plan.Precision(), plan.InDim(), plan.OutDim())
+	if plan.InDim() != 491 || plan.OutDim() != 2 {
+		t.Fatalf("plan metadata: %d %d", plan.InDim(), plan.OutDim())
 	}
 	for _, temp := range []float64{1, 10} {
 		x := parityInput(99, 128, 491)
 		checkParity(t, net.Probs(x, temp), planProbs(plan, x, temp), 1e-3, 1e-3)
 	}
-}
-
-func TestPlan32Int8Parity(t *testing.T) {
-	net, err := NewMLP(MLPConfig{Dims: []int{491, 120, 80, 2}, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := net.CompileInt8()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Precision() != PrecisionInt8 {
-		t.Fatalf("precision %q", plan.Precision())
-	}
-	x := parityInput(99, 128, 491)
-	checkParity(t, net.Probs(x, 1), planProbs(plan, x, 1), 0.05, 0.05)
 }
 
 func TestPlan32ActivationsAndDropout(t *testing.T) {
@@ -131,35 +115,33 @@ func TestPlan32ConcurrentDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, compile := range []func() (*Plan32, error){net.CompileF32, net.CompileInt8} {
-		plan, err := compile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := tensor.ToFloat32(parityInput(123, 64, 491))
-		want := plan.Logits(x)
-		var wg sync.WaitGroup
-		errs := make(chan string, 8)
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for iter := 0; iter < 25; iter++ {
-					got := plan.Logits(x)
-					for i := range got.Data {
-						if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-							errs <- plan.Precision()
-							return
-						}
+	plan, err := net.CompileF32()
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.ToFloat32(parityInput(123, 64, 491))
+	want := plan.Logits(x)
+	var wg sync.WaitGroup
+	diverged := make(chan struct{}, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for iter := 0; iter < 25; iter++ {
+				got := plan.Logits(x)
+				for i := range got.Data {
+					if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+						diverged <- struct{}{}
+						return
 					}
 				}
-			}()
-		}
-		wg.Wait()
-		close(errs)
-		if p, ok := <-errs; ok {
-			t.Fatalf("%s: concurrent Logits diverged from serial result", p)
-		}
+			}
+		}()
+	}
+	wg.Wait()
+	close(diverged)
+	if _, ok := <-diverged; ok {
+		t.Fatal("concurrent Logits diverged from serial result")
 	}
 }
 
@@ -243,22 +225,14 @@ func BenchmarkNetworkLogits(b *testing.B) {
 func BenchmarkPlan32Logits(b *testing.B) {
 	net := benchPlanNet(b)
 	x := tensor.ToFloat32(parityInput(99, 256, 491))
-	for _, bc := range []struct {
-		name    string
-		compile func() (*Plan32, error)
-	}{
-		{"float32", net.CompileF32},
-		{"int8", net.CompileInt8},
-	} {
-		plan, err := bc.compile()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				plan.Logits(x)
-			}
-			b.ReportMetric(float64(256)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-		})
+	plan, err := net.CompileF32()
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.Run("float32", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			plan.Logits(x)
+		}
+		b.ReportMetric(float64(256)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+	})
 }

@@ -50,8 +50,8 @@ var (
 )
 
 // DefLatencyBuckets are the default request-latency histogram bounds,
-// spanning 100µs to 10s — wide enough for a coalesced binary-frame scoring
-// call on one end and a campaign submission on the other.
+// spanning 100µs to 10s — wide enough for a binary-frame scoring call on
+// one end and a campaign submission on the other.
 var DefLatencyBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,

@@ -13,7 +13,7 @@ import (
 )
 
 // Instance is one immutable, servable build of a model version: the
-// batched scoring engine over the loaded network, the optional defended
+// scoring engine over the loaded network, the optional defended
 // verdict path, and the identity (name, version, generation) every
 // response it computes is stamped with.
 //
@@ -26,7 +26,7 @@ type Instance struct {
 	// Net is the loaded network. It is shared and never trained: the
 	// engine scores with it and white-box campaigns craft on it.
 	Net *nn.Network
-	// Scorer is the concurrent batched engine over Net.
+	// Scorer is the scoring engine over Net.
 	Scorer *serve.Scorer
 	// Det is the defended verdict path when the version carries a defense
 	// chain (nil for a bare model, which scores straight off the logits).
@@ -63,7 +63,7 @@ type InstanceConfig struct {
 	// Temperature is the softmax temperature of the probability head
 	// (0 means 1).
 	Temperature float64
-	// Scorer tunes the batched engine.
+	// Scorer configures the scoring engine.
 	Scorer serve.Options
 	// Defenses, when non-empty, wraps the loaded model in a servable
 	// defense chain; verdicts then travel the defended path.
@@ -83,21 +83,13 @@ func BuildInstance(cfg InstanceConfig) (*Instance, error) {
 		return nil, fmt.Errorf("registry: model %s has %d output classes, want 2 (clean/malware)",
 			cfg.Path, net.OutDim())
 	}
-	scorerOpts := cfg.Scorer
-	if len(cfg.Defenses) > 0 && scorerOpts.Workers == 0 {
-		// A defended instance's verdicts travel the defense chain, not the
-		// coalescing engine; keep the (still load-bearing for InDim and
-		// drain semantics, but otherwise idle) engine at one worker instead
-		// of a full GOMAXPROCS pool.
-		scorerOpts.Workers = 1
-	}
 	temp := cfg.Temperature
 	if temp <= 0 {
 		temp = 1
 	}
 	inst := &Instance{
 		Net:        net,
-		Scorer:     serve.New(net, temp, scorerOpts),
+		Scorer:     serve.New(net, temp, cfg.Scorer),
 		Name:       cfg.Name,
 		Version:    cfg.Version,
 		Generation: cfg.Generation,

@@ -1,20 +1,20 @@
-// Package serve implements the concurrent batched scoring engine: a fixed
-// pool of worker goroutines, each owning a private nn.Workspace, pulls
-// score requests from a shared queue and opportunistically coalesces the
-// rows of many concurrent callers into one batched forward pass, scattering
-// the logits back to each caller when the batch completes.
+// Package serve scores one frozen network for any number of concurrent
+// callers. A Scorer runs every call's forward pass on the caller's own
+// goroutine once the call holds one of GOMAXPROCS slots; callers beyond
+// that wait for a slot in arrival order. With no more forwards running
+// than there are Ps, a burst of callers queues in FIFO order instead of
+// time-sharing the CPUs, where each call would be stretched by the
+// scheduler's 10 ms preemption slice.
 //
-// The engine exists because the paper reproduction's hot paths — attack
-// evasion checks, black-box oracle queries, table/figure sweeps — are all
-// forward-only scoring of a frozen model, which row-at-a-time Forward calls
-// serve poorly twice over: per-call overhead dominates a one-row matmul,
-// and the old layer-cache design serialized every caller. A Scorer fixes
-// both: callers fan out freely, and their rows merge into large matmuls.
+// The paper reproduction's hot paths — attack evasion checks, black-box
+// oracle queries, the daemon's score and label handlers — are all
+// forward-only scoring of a frozen model, and the Scorer is what they
+// share.
 //
-// Determinism: each logits row depends only on its own input row, so batch
-// composition, coalescing order and worker scheduling cannot change the
-// numbers — scoring through the engine is bit-identical to serial
-// net.Forward(x, false). Tests and the experiments package rely on this.
+// Determinism: each logits row depends only on its own input row, so which
+// callers run at once cannot change the numbers — scoring through a Scorer
+// is bit-identical to serial net.Forward(x, false). Tests and the
+// experiments package rely on this.
 package serve
 
 import (
@@ -31,281 +31,141 @@ import (
 	"malevade/internal/tensor"
 )
 
-// BatchRowsBuckets are the coalesced-batch-size histogram bounds: powers
-// of two up to the default MaxBatch and one bucket past it.
+// BatchRowsBuckets are the bounds of the rows-per-forward-pass histogram:
+// powers of two from one row to 512.
 var BatchRowsBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 
-// Options tunes a Scorer. The zero value picks sensible defaults.
+// Options configures a Scorer. The zero value is ready to use.
 type Options struct {
-	// Workers is the number of scoring goroutines (default GOMAXPROCS).
-	Workers int
-	// MaxBatch caps the rows merged into one forward pass, and is the
-	// chunk size large requests are split into (default 256). Coalescing
-	// is opportunistic: a worker merges whatever is already queued, up to
-	// this cap — it never waits for a batch to fill.
-	MaxBatch int
-	// QueueDepth is the pending-request queue capacity (default
-	// 4×Workers).
-	QueueDepth int
-	// Obs, when set, receives engine metrics: a coalesced-batch-size
-	// histogram (malevade_serve_batch_rows) shared by every scorer built
-	// against the same registry. Queue depth and in-flight counts are
-	// exposed as accessors instead — the serving layer aggregates them
-	// across live engines into gauges.
+	// Obs, when set, receives the rows-per-forward-pass histogram
+	// (malevade_serve_batch_rows), shared by every scorer built against
+	// the same registry. Waiting and in-flight counts are accessors
+	// instead: the serving layer sums them across live engines into
+	// gauges.
 	Obs *obs.Registry
 }
 
-func (o Options) withDefaults() Options {
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 256
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 4 * o.Workers
-	}
-	return o
-}
-
-// request is one contiguous slab of rows to score. x views the caller's
-// input; logits views the caller's output destination; done is closed once
-// logits is filled.
-type request struct {
-	x      *tensor.Matrix
-	logits *tensor.Matrix
-	done   chan struct{}
-}
-
-// Scorer is the concurrent batched scoring engine over one frozen network.
-// All scoring methods are safe for any number of concurrent callers; the
+// Scorer scores one frozen network for concurrent callers. Every scoring
+// method runs its forward pass on the caller's goroutine while holding one
+// of GOMAXPROCS slots, and callers beyond that wait in arrival order. The
 // network's parameters must not be mutated (trained) while the scorer is
 // live. A Scorer implements detector.Detector, so it drops in anywhere a
 // detector is scored.
 type Scorer struct {
 	net  *nn.Network
 	temp float64
-	opts Options
 
-	// mu guards closed against sends on reqs: submitters hold the read
-	// side, Close holds the write side while closing the channel.
-	mu     sync.RWMutex
-	closed bool
-	reqs   chan *request
-	wg     sync.WaitGroup
-
-	batches  atomic.Int64 // merged batches executed
+	// slots holds one token per running forward pass. A send blocks while
+	// every slot is taken, and Go hands a freed slot to the sender that
+	// has waited longest.
+	slots    chan struct{}
+	closed   atomic.Bool
+	waiting  atomic.Int64 // callers blocked on a slot
+	inflight atomic.Int64 // callers waiting for or holding a slot
+	batches  atomic.Int64 // forward passes run
 	rows     atomic.Int64 // rows scored
-	inflight atomic.Int64 // requests submitted but not yet completed
 
 	batchRows *obs.Histogram // nil without Options.Obs
 
-	// Lazily compiled reduced-precision plans for the float32/int8 direct
-	// scoring path (see serve32.go). Compilation is once per precision.
-	planF32  planSlot
-	planInt8 planSlot
+	// The float32 plan compiles once, on first use (see serve32.go).
+	planOnce sync.Once
+	plan32   *nn.Plan32
+	planErr  error
 }
 
 var _ detector.Detector = (*Scorer)(nil)
 
-// New starts a scorer over net with the given softmax temperature for the
-// probability head (0 means 1). Callers must Close the scorer to release
-// its workers.
+// New returns a scorer over net with the given softmax temperature for the
+// probability head (0 means 1). It starts no goroutines.
 func New(net *nn.Network, temperature float64, opts Options) *Scorer {
 	if temperature <= 0 {
 		temperature = 1
 	}
-	s := &Scorer{net: net, temp: temperature, opts: opts.withDefaults()}
-	if s.opts.Obs != nil {
-		s.batchRows = s.opts.Obs.Histogram("malevade_serve_batch_rows",
-			"Rows coalesced into each merged forward pass.", BatchRowsBuckets)
-	}
-	s.reqs = make(chan *request, s.opts.QueueDepth)
-	s.wg.Add(s.opts.Workers)
-	for i := 0; i < s.opts.Workers; i++ {
-		go s.worker()
+	s := &Scorer{net: net, temp: temperature, slots: make(chan struct{}, runtime.GOMAXPROCS(0))}
+	if opts.Obs != nil {
+		s.batchRows = opts.Obs.Histogram("malevade_serve_batch_rows",
+			"Rows scored by each forward pass.", BatchRowsBuckets)
 	}
 	return s
 }
 
-// worker owns one nn.Workspace and a reusable merge buffer for its whole
-// life, so steady-state scoring allocates nothing but result matrices.
-func (s *Scorer) worker() {
-	defer s.wg.Done()
-	ws := s.net.NewWorkspace()
-	var merged *tensor.Matrix
-	pend := make([]*request, 0, 8)
-	var carry *request // drained request that would overflow the cap
-	for {
-		first := carry
-		carry = nil
-		if first == nil {
-			var ok bool
-			if first, ok = <-s.reqs; !ok {
-				return
-			}
-		}
-		pend = append(pend[:0], first)
-		rows := first.x.Rows
-		// Opportunistically coalesce whatever else is queued; never wait
-		// for more work to arrive, and never merge past MaxBatch — a
-		// request that would overflow carries over to the next batch.
-	drain:
-		for rows < s.opts.MaxBatch {
-			select {
-			case r, ok := <-s.reqs:
-				if !ok {
-					break drain
-				}
-				if rows+r.x.Rows > s.opts.MaxBatch {
-					carry = r
-					break drain
-				}
-				pend = append(pend, r)
-				rows += r.x.Rows
-			default:
-				break drain
-			}
-		}
-		merged = s.score(ws, merged, pend)
-	}
-}
-
-// score runs one merged batch and scatters logits back to each request.
-func (s *Scorer) score(ws *nn.Workspace, merged *tensor.Matrix, pend []*request) *tensor.Matrix {
-	s.batches.Add(1)
-	if len(pend) == 1 {
-		r := pend[0]
-		r.logits.CopyFrom(s.net.Infer(ws, r.x))
-		s.rows.Add(int64(r.x.Rows))
-		if s.batchRows != nil {
-			s.batchRows.Observe(float64(r.x.Rows))
-		}
-		s.inflight.Add(-1)
-		close(r.done)
-		return merged
-	}
-	total := 0
-	for _, r := range pend {
-		total += r.x.Rows
-	}
-	if s.batchRows != nil {
-		s.batchRows.Observe(float64(total))
-	}
-	if merged == nil || merged.Rows != total {
-		merged = tensor.New(total, s.net.InDim())
-	}
-	off := 0
-	for _, r := range pend {
-		copy(merged.Data[off:], r.x.Data)
-		off += len(r.x.Data)
-	}
-	logits := s.net.Infer(ws, merged)
-	off = 0
-	for _, r := range pend {
-		n := r.x.Rows * logits.Cols
-		copy(r.logits.Data, logits.Data[off:off+n])
-		off += n
-		s.rows.Add(int64(r.x.Rows))
-		s.inflight.Add(-1)
-		close(r.done)
-	}
-	return merged
-}
-
-// submit enqueues one request, or returns context.Canceled once cancel
-// fires while the queue is full (cancel is nil on the fast path — a nil
-// channel never fires, so the fast path blocks exactly as before).
-func (s *Scorer) submit(r *request, cancel <-chan struct{}) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
+// enter takes a slot for one forward pass, waiting behind earlier callers
+// while every slot is taken. It reports false, holding no slot, when done
+// is closed before a slot is free; a nil done never fires. A done that is
+// already closed takes no slot at all.
+func (s *Scorer) enter(done <-chan struct{}) bool {
+	if s.closed.Load() {
 		panic("serve: Scorer used after Close")
 	}
-	// Count the request in-flight before the enqueue: a worker may drain
-	// and complete it (decrementing) before the send even returns.
-	s.inflight.Add(1)
 	select {
-	case s.reqs <- r:
-		return nil
-	case <-cancel:
+	case <-done:
+		return false
+	default:
+	}
+	s.inflight.Add(1)
+	// A free slot is taken without counting the caller as waiting, so
+	// QueueDepth counts only callers that block.
+	select {
+	case s.slots <- struct{}{}:
+		return true
+	default:
+	}
+	s.waiting.Add(1)
+	select {
+	case s.slots <- struct{}{}:
+		s.waiting.Add(-1)
+		return true
+	case <-done:
+		s.waiting.Add(-1)
 		s.inflight.Add(-1)
-		return context.Canceled
+		return false
 	}
 }
 
-// Logits scores every row of x and returns a fresh rows×OutDim logits
-// matrix. Large inputs are split into MaxBatch chunks so the worker pool
-// shares one call; rows from concurrent callers coalesce into shared
-// batches. Bit-identical to net.Forward(x, false). This is the
-// allocation-lean in-process fast path; remote-facing callers that need
-// cancellation use LogitsContext.
-func (s *Scorer) Logits(x *tensor.Matrix) *tensor.Matrix {
-	out, err := s.logits(nil, x)
-	if err != nil {
-		// Unreachable: only a cancellable context produces an error, and
-		// the fast path passes none.
-		panic(err)
+// leave frees the slot taken by enter and counts the forward pass that
+// ran under it.
+func (s *Scorer) leave(rows int) {
+	<-s.slots
+	s.inflight.Add(-1)
+	s.batches.Add(1)
+	s.rows.Add(int64(rows))
+	if s.batchRows != nil {
+		s.batchRows.Observe(float64(rows))
 	}
+}
+
+// Logits scores every row of x in one forward pass and returns a fresh
+// rows×OutDim logits matrix, bit-identical to net.Forward(x, false). It
+// waits for a slot without a way out; callers that need cancellation use
+// LogitsContext.
+func (s *Scorer) Logits(x *tensor.Matrix) *tensor.Matrix {
+	out, _ := s.logits(nil, x) // a nil done never cancels
 	return out
 }
 
-// LogitsContext is Logits with cancellation: the submit path — both the
-// enqueue and the wait for each chunk's completion — selects on
-// ctx.Done(), so a caller whose context ends mid-batch returns promptly
-// with ctx.Err() instead of waiting out the queue. Chunks already handed
-// to workers still complete (their results are discarded); the engine
-// never leaks a goroutine on cancellation because workers outlive
-// requests by design.
+// LogitsContext is Logits with cancellation: a context that ends before
+// the call holds a slot returns ctx.Err() and runs no forward pass. A
+// forward that has started runs to completion.
 func (s *Scorer) LogitsContext(ctx context.Context, x *tensor.Matrix) (*tensor.Matrix, error) {
-	out, err := s.logits(ctx.Done(), x)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, ctxErr
-		}
-		return nil, err
+	out, ok := s.logits(ctx.Done(), x)
+	if !ok {
+		return nil, ctx.Err()
 	}
 	return out, nil
 }
 
-// logits is the shared submit path. cancel is nil for the fast path; a
-// nil channel never fires in a select, so the fast path pays only the
-// select's fixed cost and allocates nothing beyond the result matrix and
-// its chunk requests.
-func (s *Scorer) logits(cancel <-chan struct{}, x *tensor.Matrix) (*tensor.Matrix, error) {
-	outDim := s.net.OutDim()
-	out := tensor.New(x.Rows, outDim)
+func (s *Scorer) logits(done <-chan struct{}, x *tensor.Matrix) (*tensor.Matrix, bool) {
 	if x.Rows == 0 {
-		return out, nil
+		return tensor.New(0, s.net.OutDim()), true
 	}
 	if x.Cols != s.net.InDim() {
 		panic(fmt.Sprintf("serve: input width %d, want %d", x.Cols, s.net.InDim()))
 	}
-	chunk := s.opts.MaxBatch
-	pending := make([]*request, 0, (x.Rows+chunk-1)/chunk)
-	for start := 0; start < x.Rows; start += chunk {
-		end := start + chunk
-		if end > x.Rows {
-			end = x.Rows
-		}
-		r := &request{
-			x:      tensor.FromSlice(end-start, x.Cols, x.Data[start*x.Cols:end*x.Cols]),
-			logits: tensor.FromSlice(end-start, outDim, out.Data[start*outDim:end*outDim]),
-			done:   make(chan struct{}),
-		}
-		if err := s.submit(r, cancel); err != nil {
-			return nil, err
-		}
-		pending = append(pending, r)
+	if !s.enter(done) {
+		return nil, false
 	}
-	for _, r := range pending {
-		select {
-		case <-r.done:
-		case <-cancel:
-			return nil, context.Canceled
-		}
-	}
-	return out, nil
+	defer s.leave(x.Rows)
+	return s.net.Logits(x), true
 }
 
 // MalwareProb implements detector.Detector: P(class=1|x) per row at the
@@ -337,31 +197,21 @@ func (s *Scorer) InDim() int { return s.net.InDim() }
 // OutDim returns the logits width.
 func (s *Scorer) OutDim() int { return s.net.OutDim() }
 
-// Stats reports how many merged batches have executed and how many rows
-// they carried; rows/batches is the mean coalescing factor.
+// Stats reports how many forward passes have run, at every precision,
+// and how many rows they scored; rows/batches is the mean rows per pass.
 func (s *Scorer) Stats() (batches, rows int64) {
 	return s.batches.Load(), s.rows.Load()
 }
 
-// InFlight reports how many submitted requests have not yet completed —
-// queued plus being scored. Zero on an idle engine.
+// InFlight reports how many callers are waiting for a slot or running a
+// forward pass. Zero on an idle scorer.
 func (s *Scorer) InFlight() int64 { return s.inflight.Load() }
 
-// QueueDepth reports how many requests are sitting in the queue awaiting
-// a worker, a direct saturation signal: nonzero sustained depth means the
-// pool is behind.
-func (s *Scorer) QueueDepth() int { return len(s.reqs) }
+// QueueDepth reports how many callers are waiting for a slot, a direct
+// saturation signal: a depth that stays above zero means callers arrive
+// faster than the CPU scores them.
+func (s *Scorer) QueueDepth() int { return int(s.waiting.Load()) }
 
-// Close stops the workers after draining in-flight requests. Idempotent;
-// scoring after Close panics.
-func (s *Scorer) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	close(s.reqs)
-	s.mu.Unlock()
-	s.wg.Wait()
-}
+// Close marks the scorer closed: scoring after Close panics. Calls already
+// past the check finish normally. Idempotent.
+func (s *Scorer) Close() { s.closed.Store(true) }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sync"
 
 	"malevade/internal/dataset"
 	"malevade/internal/nn"
@@ -11,42 +10,25 @@ import (
 
 // Precision names for the scoring paths a Scorer can run. Float64 is the
 // accuracy reference and the only path the training/attack code ever
-// uses; Float32 is the binary-framing hot path (vector kernels, ~bounded
-// drift pinned by internal/nn's parity tests); Int8 is the memory-lean
-// variant behind explicit opt-in.
+// uses; Float32 is the binary-framing hot path (vector kernels, drift
+// bounded by internal/nn's parity tests).
 const (
 	PrecisionFloat64 = "float64"
 	PrecisionFloat32 = nn.PrecisionF32
-	PrecisionInt8    = nn.PrecisionInt8
 )
 
 // ValidPrecision reports whether p names a scoring precision.
 func ValidPrecision(p string) bool {
-	return p == PrecisionFloat64 || p == PrecisionFloat32 || p == PrecisionInt8
+	return p == PrecisionFloat64 || p == PrecisionFloat32
 }
 
-// planSlot lazily compiles one reduced-precision plan exactly once.
-type planSlot struct {
-	once sync.Once
-	plan *nn.Plan32
-	err  error
-}
-
+// plan returns the compiled float32 plan, compiling it on first use.
 func (s *Scorer) plan(precision string) (*nn.Plan32, error) {
-	var slot *planSlot
-	var compile func() (*nn.Plan32, error)
-	switch precision {
-	case PrecisionFloat32:
-		slot, compile = &s.planF32, s.net.CompileF32
-	case PrecisionInt8:
-		slot, compile = &s.planInt8, s.net.CompileInt8
-	default:
+	if precision != PrecisionFloat32 {
 		return nil, fmt.Errorf("serve: no reduced-precision plan for %q", precision)
 	}
-	slot.once.Do(func() {
-		slot.plan, slot.err = compile()
-	})
-	return slot.plan, slot.err
+	s.planOnce.Do(func() { s.plan32, s.planErr = s.net.CompileF32() })
+	return s.plan32, s.planErr
 }
 
 // EnsurePlan compiles (and caches) the plan for the given precision, so
@@ -63,13 +45,11 @@ func (s *Scorer) EnsurePlan(precision string) error {
 	return err
 }
 
-// Logits32 scores a float32 batch through the compiled plan for the given
-// precision (PrecisionFloat32 or PrecisionInt8) and returns fresh float32
-// logits. Unlike Logits it bypasses the worker pool: binary-framed
-// requests arrive pre-batched, so the coalescing queue would only add
-// latency. The batches/rows statistics advance exactly as on the pooled
-// path, so /v1/stats sees this traffic. Safe for concurrent callers;
-// panics if the scorer is closed or the input width is wrong.
+// Logits32 scores a float32 batch through the compiled plan for
+// PrecisionFloat32 and returns fresh float32 logits. Like Logits, it runs
+// one forward pass on the caller's goroutine behind the same slots, and
+// counts it in Stats. Safe for concurrent callers; panics if the scorer is
+// closed or the input width is wrong.
 func (s *Scorer) Logits32(x *tensor.Matrix32, precision string) (*tensor.Matrix32, error) {
 	if x.Cols != s.net.InDim() {
 		panic(fmt.Sprintf("serve: input width %d, want %d", x.Cols, s.net.InDim()))
@@ -78,18 +58,12 @@ func (s *Scorer) Logits32(x *tensor.Matrix32, precision string) (*tensor.Matrix3
 	if err != nil {
 		return nil, err
 	}
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		panic("serve: Scorer used after Close")
+	if x.Rows == 0 {
+		return tensor.New32(0, s.net.OutDim()), nil
 	}
-	s.mu.RUnlock()
-	out := p.Logits(x)
-	if x.Rows > 0 {
-		s.batches.Add(1)
-		s.rows.Add(int64(x.Rows))
-	}
-	return out, nil
+	s.enter(nil)
+	defer s.leave(x.Rows)
+	return p.Logits(x), nil
 }
 
 // Verdicts32 is the reduced-precision analogue of the server's render

@@ -15,7 +15,7 @@ func test32Scorer(t *testing.T, temp float64) (*Scorer, *tensor.Matrix) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(net, temp, Options{Workers: 2})
+	s := New(net, temp, Options{})
 	t.Cleanup(s.Close)
 	x := tensor.New(96, 491)
 	rng := uint64(5)
@@ -38,7 +38,6 @@ func TestVerdicts32Parity(t *testing.T) {
 		margin    float64
 	}{
 		{PrecisionFloat32, 1e-3, 1e-3},
-		{PrecisionInt8, 0.05, 0.05},
 	} {
 		probs, classes, err := s.Verdicts32(tensor.ToFloat32(x), tc.precision)
 		if err != nil {
@@ -79,13 +78,15 @@ func TestEnsurePlan(t *testing.T) {
 	if err := s.EnsurePlan(PrecisionFloat32); err != nil {
 		t.Fatalf("float32: %v", err)
 	}
-	if err := s.EnsurePlan(PrecisionInt8); err != nil {
-		t.Fatalf("int8: %v", err)
+	for _, p := range []string{"float16", "int8"} {
+		if err := s.EnsurePlan(p); err == nil {
+			t.Fatalf("expected error for unknown precision %q", p)
+		}
+		if ValidPrecision(p) {
+			t.Fatalf("ValidPrecision accepts %q", p)
+		}
 	}
-	if err := s.EnsurePlan("float16"); err == nil {
-		t.Fatal("expected error for unknown precision")
-	}
-	if ValidPrecision("float16") || !ValidPrecision(PrecisionInt8) || !ValidPrecision(PrecisionFloat64) {
+	if !ValidPrecision(PrecisionFloat32) || !ValidPrecision(PrecisionFloat64) {
 		t.Fatal("ValidPrecision misclassifies")
 	}
 }
@@ -102,7 +103,7 @@ func TestLogits32PanicsAfterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(net, 1, Options{Workers: 1})
+	s := New(net, 1, Options{})
 	s.Close()
 	defer func() {
 		if recover() == nil {
@@ -112,9 +113,9 @@ func TestLogits32PanicsAfterClose(t *testing.T) {
 	s.Logits32(tensor.New32(1, 4), PrecisionFloat32)
 }
 
-// TestVerdicts32ConcurrentDeterminism checks the direct reduced-precision
-// path stays bit-stable under concurrent callers, matching the pooled
-// path's determinism contract.
+// TestVerdicts32ConcurrentDeterminism checks the reduced-precision path
+// stays bit-stable under concurrent callers, matching the float64 path's
+// determinism contract.
 func TestVerdicts32ConcurrentDeterminism(t *testing.T) {
 	s, x := test32Scorer(t, 1)
 	x32 := tensor.ToFloat32(x)

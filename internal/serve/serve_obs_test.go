@@ -12,10 +12,10 @@ import (
 // TestInFlightAndQueueDepth drives concurrent traffic through an
 // instrumented scorer and checks that the saturation accessors return to
 // zero at quiescence, that the lifetime counters agree with Stats, and
-// that the shared batch-rows histogram saw every batch.
+// that the shared batch-rows histogram saw every forward pass.
 func TestInFlightAndQueueDepth(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := New(testNet(t), 1, Options{Workers: 2, MaxBatch: 8, Obs: reg})
+	s := New(testNet(t), 1, Options{Obs: reg})
 	defer s.Close()
 
 	if s.InFlight() != 0 || s.QueueDepth() != 0 {
@@ -65,14 +65,14 @@ func TestInFlightAndQueueDepth(t *testing.T) {
 func TestSharedRegistryAcrossScorers(t *testing.T) {
 	reg := obs.NewRegistry()
 	net := testNet(t)
-	a := New(net, 1, Options{Workers: 1, Obs: reg})
+	a := New(net, 1, Options{Obs: reg})
 	defer a.Close()
-	b := New(net, 1, Options{Workers: 1, Obs: reg})
+	b := New(net, 1, Options{Obs: reg})
 	defer b.Close()
 	a.Logits(tensor.New(1, net.InDim()))
 	b.Logits(tensor.New(1, net.InDim()))
 	h := reg.Histogram("malevade_serve_batch_rows",
-		"Rows coalesced into each merged forward pass.", BatchRowsBuckets)
+		"Rows scored by each forward pass.", BatchRowsBuckets)
 	if h.Count() != 2 {
 		t.Fatalf("shared histogram count %d, want 2", h.Count())
 	}

@@ -35,8 +35,8 @@ func randomBatch(seed uint64, rows, cols int) *tensor.Matrix {
 // path bit for bit: logits, probabilities and predictions.
 func TestScorerMatchesSerial(t *testing.T) {
 	net := testNet(t)
-	x := randomBatch(7, 103, net.InDim()) // odd size: forces a partial chunk
-	s := New(net, 1, Options{Workers: 3, MaxBatch: 16})
+	x := randomBatch(7, 103, net.InDim())
+	s := New(net, 1, Options{})
 	defer s.Close()
 
 	wantLogits := net.Forward(x, false).Clone()
@@ -77,7 +77,7 @@ func TestScorerMatchesSerial(t *testing.T) {
 // test.
 func TestScorerConcurrentHammer(t *testing.T) {
 	net := testNet(t)
-	s := New(net, 4, Options{Workers: 4, MaxBatch: 8, QueueDepth: 2})
+	s := New(net, 4, Options{})
 	defer s.Close()
 
 	const goroutines = 8
@@ -126,90 +126,9 @@ func TestScorerConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestScorerCoalesces pre-loads the queue before any worker runs, so the
-// single worker must merge all pending requests into one batched forward
-// pass — the deterministic version of what concurrent callers get
-// opportunistically.
-func TestScorerCoalesces(t *testing.T) {
-	net := testNet(t)
-	s := &Scorer{net: net, temp: 1, opts: Options{Workers: 1, MaxBatch: 64, QueueDepth: 16}.withDefaults()}
-	s.reqs = make(chan *request, 16)
-
-	const nReqs = 5
-	outs := make([]*tensor.Matrix, nReqs)
-	want := make([]*tensor.Matrix, nReqs)
-	reqs := make([]*request, nReqs)
-	for i := 0; i < nReqs; i++ {
-		x := randomBatch(uint64(200+i), 3, net.InDim())
-		want[i] = net.Forward(x, false).Clone()
-		outs[i] = tensor.New(3, net.OutDim())
-		reqs[i] = &request{x: x, logits: outs[i], done: make(chan struct{})}
-		s.reqs <- reqs[i]
-	}
-	close(s.reqs)
-	s.wg.Add(1)
-	go s.worker()
-	s.wg.Wait()
-
-	batches, rows := s.Stats()
-	if batches != 1 {
-		t.Fatalf("queued requests ran in %d batches, want 1 merged batch", batches)
-	}
-	if rows != nReqs*3 {
-		t.Fatalf("Stats rows = %d, want %d", rows, nReqs*3)
-	}
-	for i := range reqs {
-		<-reqs[i].done // must be closed
-		for j, v := range want[i].Data {
-			if outs[i].Data[j] != v {
-				t.Fatalf("request %d logits diverged after coalescing", i)
-			}
-		}
-	}
-}
-
-// TestScorerRespectsBatchCap checks that a worker never merges past
-// MaxBatch: full chunks score alone, and a drained request that would
-// overflow the cap carries over to the next batch instead of inflating the
-// current one.
-func TestScorerRespectsBatchCap(t *testing.T) {
-	net := testNet(t)
-	s := &Scorer{net: net, temp: 1, opts: Options{Workers: 1, MaxBatch: 4, QueueDepth: 16}.withDefaults()}
-	s.reqs = make(chan *request, 16)
-	const nReqs = 3
-	for i := 0; i < nReqs; i++ {
-		x := randomBatch(uint64(300+i), 4, net.InDim()) // exactly MaxBatch rows
-		s.reqs <- &request{x: x, logits: tensor.New(4, net.OutDim()), done: make(chan struct{})}
-	}
-	close(s.reqs)
-	s.wg.Add(1)
-	go s.worker()
-	s.wg.Wait()
-	if batches, _ := s.Stats(); batches != nReqs {
-		t.Fatalf("full chunks merged into %d batches, want %d separate ones", batches, nReqs)
-	}
-
-	// 4 queued requests of 3 rows under MaxBatch 6: merging pairs is
-	// allowed (3+3=6), a third would overflow (9>6) and must carry over —
-	// so exactly 2 merged batches, never one of 9+ rows.
-	s2 := &Scorer{net: net, temp: 1, opts: Options{Workers: 1, MaxBatch: 6, QueueDepth: 16}.withDefaults()}
-	s2.reqs = make(chan *request, 16)
-	for i := 0; i < 4; i++ {
-		x := randomBatch(uint64(310+i), 3, net.InDim())
-		s2.reqs <- &request{x: x, logits: tensor.New(3, net.OutDim()), done: make(chan struct{})}
-	}
-	close(s2.reqs)
-	s2.wg.Add(1)
-	go s2.worker()
-	s2.wg.Wait()
-	if batches, rows := s2.Stats(); batches != 2 || rows != 12 {
-		t.Fatalf("overflow carry produced %d batches / %d rows, want 2 / 12", batches, rows)
-	}
-}
-
 func TestScorerEmptyInput(t *testing.T) {
 	net := testNet(t)
-	s := New(net, 1, Options{Workers: 1})
+	s := New(net, 1, Options{})
 	defer s.Close()
 	if out := s.Logits(tensor.New(0, net.InDim())); out.Rows != 0 {
 		t.Fatalf("empty input scored %d rows", out.Rows)
@@ -218,7 +137,7 @@ func TestScorerEmptyInput(t *testing.T) {
 
 func TestScorerCloseIdempotentAndPanicsAfter(t *testing.T) {
 	net := testNet(t)
-	s := New(net, 1, Options{Workers: 2})
+	s := New(net, 1, Options{})
 	s.Close()
 	s.Close() // idempotent
 	defer func() {
@@ -229,12 +148,11 @@ func TestScorerCloseIdempotentAndPanicsAfter(t *testing.T) {
 	s.Logits(randomBatch(1, 1, net.InDim()))
 }
 
-// TestLogitsContextCancellation: the context-aware submit path must
-// return promptly with the context's error once cancelled, while the
-// plain Logits fast path stays un-cancellable and identical.
+// TestLogitsContextCancellation: LogitsContext must match Logits on a live
+// context and return the context's error once it is cancelled.
 func TestLogitsContextCancellation(t *testing.T) {
 	net := testNet(t)
-	s := New(net, 1, Options{Workers: 1})
+	s := New(net, 1, Options{})
 	defer s.Close()
 
 	x := tensor.New(6, 24)

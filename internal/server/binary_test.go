@@ -227,13 +227,14 @@ func TestBinaryErrorTaxonomy(t *testing.T) {
 
 // TestBinaryPrecisionVariants: every BinaryPrecision routes binary frames
 // to a working scorer; float64 must answer bit-identically to JSON over
-// float32-representable values, and an unknown precision refuses to boot.
+// float32-representable values, and an unknown precision (int8 among
+// them) refuses to boot.
 func TestBinaryPrecisionVariants(t *testing.T) {
 	dir := t.TempDir()
 	path, _ := saveTestNet(t, dir, "model.gob", []int{3, 8, 2}, 7)
 	f32, f64 := frameRows(6, 3)
 	var refResults []ScoreResult
-	for _, precision := range []string{serve.PrecisionFloat64, serve.PrecisionFloat32, serve.PrecisionInt8} {
+	for _, precision := range []string{serve.PrecisionFloat64, serve.PrecisionFloat32} {
 		s, err := New(Options{ModelPath: path, BinaryPrecision: precision})
 		if err != nil {
 			t.Fatal(err)
@@ -243,12 +244,9 @@ func TestBinaryPrecisionVariants(t *testing.T) {
 		if refResults == nil {
 			refResults = jsonResp.Results
 		}
-		budget := 0.05 // int8
-		switch precision {
-		case serve.PrecisionFloat64:
+		budget := 1e-3 // float32
+		if precision == serve.PrecisionFloat64 {
 			budget = 0 // exact: same engine, exactly representable inputs
-		case serve.PrecisionFloat32:
-			budget = 1e-3
 		}
 		for i, r := range binResp.Results {
 			if d := math.Abs(r.Prob - refResults[i].Prob); d > budget {
@@ -257,8 +255,10 @@ func TestBinaryPrecisionVariants(t *testing.T) {
 		}
 		s.Close()
 	}
-	if _, err := New(Options{ModelPath: path, BinaryPrecision: "float16"}); err == nil {
-		t.Fatal("unknown BinaryPrecision accepted")
+	for _, precision := range []string{"float16", "int8"} {
+		if _, err := New(Options{ModelPath: path, BinaryPrecision: precision}); err == nil {
+			t.Fatalf("unknown BinaryPrecision %q accepted", precision)
+		}
 	}
 }
 

@@ -25,7 +25,6 @@ func TestE2ECampaignMatchesLab(t *testing.T) {
 	// In-process reference: the grey-box pipeline at the paper's
 	// operating point θ=0.1, γ=0.025 on the Small profile.
 	lab := experiments.NewLab(experiments.Small)
-	defer lab.Close()
 	target, err := lab.Target()
 	if err != nil {
 		t.Fatal(err)

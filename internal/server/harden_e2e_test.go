@@ -22,7 +22,6 @@ import (
 func hardenLabTarget(t *testing.T) (string, *experiments.Lab, *dataset.Dataset) {
 	t.Helper()
 	lab := experiments.NewLab(experiments.Small)
-	t.Cleanup(lab.Close)
 	target, err := lab.Target()
 	if err != nil {
 		t.Fatal(err)

@@ -28,7 +28,6 @@ import (
 // previously live versions unchanged.
 func TestE2ERegistryMultiModel(t *testing.T) {
 	lab := experiments.NewLab(experiments.Small)
-	defer lab.Close()
 	target, err := lab.Target()
 	if err != nil {
 		t.Fatal(err)

@@ -1,4 +1,4 @@
-// Package server exposes the concurrent batched scoring engine as a JSON
+// Package server exposes the scoring engine (internal/serve) as a JSON
 // HTTP daemon — the paper's deployed-detector setting (conf_dsn_HuangVFIKW19
 // §III), where adversaries probe a production malware classifier as a
 // black-box oracle over the network.
@@ -88,9 +88,6 @@ type Options struct {
 	// Temperature is the softmax temperature of the probability head
 	// (0 means 1).
 	Temperature float64
-	// Scorer tunes the underlying batched engine (workers, max merged
-	// batch, queue depth).
-	Scorer serve.Options
 	// MaxRows caps the rows accepted in one /v1/score or /v1/label
 	// request (default 4096). Larger batches are rejected with 400.
 	MaxRows int
@@ -100,11 +97,10 @@ type Options struct {
 	// BinaryPrecision selects the inference path for binary-framed
 	// scoring requests (Content-Type application/x-malevade-rows-f32):
 	// serve.PrecisionFloat32 (the default — vector kernels, drift bounded
-	// by internal/nn's parity tests), serve.PrecisionInt8 (explicit
-	// opt-in), or serve.PrecisionFloat64 to route binary frames through
-	// the reference engine. JSON requests always score in float64.
-	// Defended models and models whose weights fail plan compilation fall
-	// back to float64 regardless.
+	// by internal/nn's parity tests) or serve.PrecisionFloat64 to route
+	// binary frames through the reference path. JSON requests always
+	// score in float64. Defended models and models whose weights fail
+	// plan compilation fall back to float64 regardless.
 	BinaryPrecision string
 	// Campaigns tunes the attack-campaign orchestrator behind
 	// /v1/campaigns (workers, queue depth, sample caps). LocalTarget,
@@ -294,22 +290,18 @@ func New(opts Options) (*Server, error) {
 	s.precisionRows = s.obs.CounterVec("malevade_serve_precision_rows_total",
 		"Rows scored, by the kernel precision that actually ran them.",
 		"precision")
-	// Thread the registry into every engine the daemon builds: the slot
-	// scorer and all registry-loaded scorers share one batch-rows
-	// histogram, and the store/campaign/harden layers register their own
-	// instruments against the same exposition.
-	opts.Scorer.Obs = s.obs
-	s.opts.Scorer.Obs = s.obs
-	// The registry opens before the default slot loads: Open raises the
-	// shared generation counter past every generation persisted in the
-	// manifests, so the default model's generation — and everything after
-	// it — stays unique even against a registry dir populated by an
-	// earlier process.
+	// Every engine the daemon builds — the default slot's and each
+	// registry model's — registers against s.obs, so they share one
+	// batch-rows histogram. The registry opens before the default slot
+	// loads: Open raises the shared generation counter past every
+	// generation persisted in the manifests, so the default model's
+	// generation — and everything after it — stays unique even against a
+	// registry dir populated by an earlier process.
 	if opts.RegistryDir != "" {
 		reg, err := registry.Open(registry.Options{
 			Dir:         opts.RegistryDir,
 			Temperature: opts.Temperature,
-			Scorer:      opts.Scorer,
+			Scorer:      serve.Options{Obs: s.obs},
 			MaxModels:   opts.RegistryMaxModels,
 			MaxVersions: opts.RegistryMaxVersions,
 			Gen:         &s.version,
@@ -488,10 +480,10 @@ func (s *Server) registerFuncMetrics() {
 		"Rows scored by the engine, cumulative across hot reloads.",
 		func() float64 { _, r := s.engineTotals(); return float64(r) })
 	s.obs.GaugeFunc("malevade_serve_queue_depth",
-		"Scoring requests buffered across every live engine's queue.",
+		"Scoring calls waiting for an engine slot, across every live engine.",
 		func() float64 { q, _ := s.engineLoad(); return float64(q) })
 	s.obs.GaugeFunc("malevade_serve_inflight_requests",
-		"Scoring requests submitted to engines and not yet answered.",
+		"Scoring calls waiting for or holding an engine slot.",
 		func() float64 { _, f := s.engineLoad(); return float64(f) })
 	s.obs.CounterFunc("malevade_campaigns_submitted_total",
 		"Adversarial campaigns accepted over the daemon lifetime.",
@@ -588,7 +580,7 @@ func (s *Server) load(path string) (*model, error) {
 		Version:     int(gen),
 		Generation:  gen,
 		Temperature: s.opts.Temperature,
-		Scorer:      s.opts.Scorer,
+		Scorer:      serve.Options{Obs: s.obs},
 		Defenses:    s.opts.Defenses,
 	})
 	if err != nil {
@@ -776,8 +768,9 @@ type StatsResponse struct {
 	Requests int64 `json:"requests"`
 	Rejected int64 `json:"rejected"`
 	Reloads  int64 `json:"reloads"`
-	// Batches/Rows are the default-model engine's merged-batch counters;
-	// Rows/Batches is the mean coalescing factor.
+	// Batches/Rows count the forward passes the default model's engine
+	// has run and the rows they scored; Rows/Batches is the mean rows per
+	// pass.
 	Batches int64 `json:"batches"`
 	Rows    int64 `json:"rows"`
 	// Campaigns counts campaign submissions accepted by /v1/campaigns.

@@ -188,101 +188,8 @@ func TestAddRowVector32(t *testing.T) {
 	AddRowVector32(m, []float32{1})
 }
 
-func TestQuantizeInt8(t *testing.T) {
-	r := rand.New(rand.NewSource(21))
-	w := rand32(r, 40, 17, 0.1)
-	// Column 3 all zero: must get scale 0 and quantize to zeros.
-	for i := 0; i < w.Rows; i++ {
-		w.Set(i, 3, 0)
-	}
-	q := QuantizeInt8(w)
-	if q.Scales[3] != 0 {
-		t.Fatalf("all-zero column scale = %g, want 0", q.Scales[3])
-	}
-	for i := 0; i < w.Rows; i++ {
-		for j := 0; j < w.Cols; j++ {
-			deq := q.Scales[j] * float32(q.Data[i*q.Cols+j])
-			limit := float64(q.Scales[j])*0.5000001 + 1e-12
-			if err := math.Abs(float64(w.At(i, j) - deq)); err > limit {
-				t.Fatalf("(%d,%d): dequant error %g exceeds half-scale %g", i, j, err, limit)
-			}
-		}
-	}
-}
-
-// TestMatMulInt8MatchesDequantizedReference pins the int8 kernel exactly:
-// given the quantized operands the kernel derives, the int32 accumulation
-// is exact arithmetic and the dequantization is a fixed float32 product
-// chain, so the output is bit-for-bit reproducible.
-func TestMatMulInt8MatchesDequantizedReference(t *testing.T) {
-	r := rand.New(rand.NewSource(22))
-	a := rand32(r, 9, 130, 0.5)
-	// Row 4 all zeros exercises the zero-row short circuit.
-	for j := 0; j < a.Cols; j++ {
-		a.Set(4, j, 0)
-	}
-	w := rand32(r, 130, 33, 0.1)
-	q := QuantizeInt8(w)
-	got := New32(9, 33)
-	MatMulInt8(got, a, q, nil, nil)
-
-	want := New32(9, 33)
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		var maxAbs float32
-		for _, v := range row {
-			if av := abs32(v); av > maxAbs {
-				maxAbs = av
-			}
-		}
-		if maxAbs == 0 {
-			continue
-		}
-		inv := 127 / maxAbs
-		scaleX := maxAbs / 127
-		for j := 0; j < q.Cols; j++ {
-			var acc int32
-			for k, v := range row {
-				xq := int32(int8(math.RoundToEven(float64(v * inv))))
-				acc += xq * int32(q.Data[k*q.Cols+j])
-			}
-			want.Set(i, j, float32(acc)*scaleX*q.Scales[j])
-		}
-	}
-	if i, ok := bitsEqual32(got, want); !ok {
-		t.Fatalf("int8 kernel differs from dequantized reference at flat index %d: %g vs %g",
-			i, got.Data[i], want.Data[i])
-	}
-}
-
-func TestMatMulInt8ScratchReuse(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	a := rand32(r, 5, 40, 0.3)
-	w := rand32(r, 40, 12, 0)
-	q := QuantizeInt8(w)
-	alloc := New32(5, 12)
-	MatMulInt8(alloc, a, q, nil, nil)
-	scratch := New32(5, 12)
-	xq := make([]int8, 40)
-	acc := make([]int32, 12)
-	MatMulInt8(scratch, a, q, xq, acc)
-	if i, ok := bitsEqual32(alloc, scratch); !ok {
-		t.Fatalf("scratch-reusing call differs at flat index %d", i)
-	}
-}
-
-func TestMatMulInt8PanicsOnShapeMismatch(t *testing.T) {
-	q := QuantizeInt8(New32(4, 3))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MatMulInt8(New32(2, 3), New32(2, 5), q, nil, nil)
-}
-
 // Benchmark shapes are the paper model's layers (491→1200→1500→1300→2) at
-// the server's max coalesced batch of 256 rows. Regenerate BENCH_infer.json
+// a batch of 256 rows. Regenerate BENCH_infer.json
 // from these plus the internal/nn inference benchmarks.
 var benchShapes = []struct {
 	name    string
@@ -320,19 +227,4 @@ func BenchmarkMatMulF64(b *testing.B) {
 			}
 		})
 	}
-}
-
-func BenchmarkMatMulInt8(b *testing.B) {
-	r := rand.New(rand.NewSource(33))
-	sh := benchShapes[0]
-	a := rand32(r, sh.m, sh.k, 0.7)
-	q := QuantizeInt8(rand32(r, sh.k, sh.n, 0))
-	dst := New32(sh.m, sh.n)
-	xq := make([]int8, sh.k)
-	acc := make([]int32, sh.n)
-	b.Run(sh.name, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			MatMulInt8(dst, a, q, xq, acc)
-		}
-	})
 }
