@@ -184,7 +184,7 @@ func TestBinaryErrorTaxonomy(t *testing.T) {
 		{"trailing", append(append([]byte(nil), good...), 9), wire.ContentTypeRowsF32, 400, wire.CodeBadRequest, "length"},
 		{"too many rows", mustFrame32(t, "", 5, 3, make([]float32, 15)), wire.ContentTypeRowsF32, 400, wire.CodeBadRequest, "exceeds limit"},
 		{"width mismatch", mustFrame32(t, "", 2, 4, make([]float32, 8)), wire.ContentTypeRowsF32, 400, wire.CodeBadRequest, "features"},
-		{"non-finite", mustFrame32(t, "", 2, 3, nan), wire.ContentTypeRowsF32, 400, wire.CodeBadRequest, "not finite"},
+		{"non-finite", mustFrame32(t, "", 2, 3, nan), wire.ContentTypeRowsF32, 400, wire.CodeBadRequest, "row 1 feature 1 is not finite"},
 		{"oversized", bigBody, wire.ContentTypeRowsF32, 413, wire.CodeTooLarge, "exceeds"},
 		{"wrong media type", good, "text/plain", 415, wire.CodeUnsupportedMedia, "unsupported Content-Type"},
 		{"unparseable media type", good, ";;;", 415, wire.CodeUnsupportedMedia, "unparseable Content-Type"},

@@ -1025,12 +1025,9 @@ func (s *Server) scoreFrame(w http.ResponseWriter, m *model, raw []byte,
 		return
 	}
 	x32 := tensor.FromSlice32(f.Rows, f.Cols, f.Values())
-	for i, v := range x32.Data {
-		f64 := float64(v)
-		if math.IsNaN(f64) || math.IsInf(f64, 0) {
-			s.reject(w, http.StatusBadRequest, "row %d feature %d is not finite", i/f.Cols, i%f.Cols)
-			return
-		}
+	if i := tensor.FirstNonFinite32(x32.Data); i >= 0 {
+		s.reject(w, http.StatusBadRequest, "row %d feature %d is not finite", i/f.Cols, i%f.Cols)
+		return
 	}
 	s.requests.Inc()
 	target.CountRequest()

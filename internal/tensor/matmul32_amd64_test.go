@@ -35,7 +35,9 @@ func goldenF32(a, b *Matrix32) *Matrix32 {
 
 // TestMatMulF32GoldenBits pins the vector tiles to the scalar FMA
 // reference across every tile-dispatch edge: row tails (m mod 4, m mod 2),
-// the 64-wide/32-wide panel boundary, and sub-32 column tails.
+// the 64-wide/32-wide panel boundary, sub-32 column tails and their
+// four-row by two-column blocks, and the sharded products of the served
+// model's layers.
 func TestMatMulF32GoldenBits(t *testing.T) {
 	if F32Kernel() == "generic" {
 		t.Skip("no AVX2+FMA on this CPU; vector tiles not in play")
@@ -55,12 +57,17 @@ func TestMatMulF32GoldenBits(t *testing.T) {
 		{13, 200, 160},
 		{5, 491, 491}, // paper input width, odd everything
 		{33, 100, 128},
+		{256, 491, 512}, // score-bin's layers: sharded, all-ZMM panels
+		{256, 512, 256},
+		{256, 256, 2}, // the output layer: all tail, 4-row blocks
+		{5, 256, 2},   // two-column tail with a row remainder
+		{7, 33, 34},   // one YMM panel, then a two-column tail, 3 rows over
 	}
 	for _, sh := range shapes {
 		a := rand32(r, sh[0], sh[1], 0.5)
 		b := rand32(r, sh[1], sh[2], 0.1)
 		got := New32(sh[0], sh[2])
-		MatMulF32(got, a, b)
+		MatMulF32(got, a, b, nil)
 		want := goldenF32(a, b)
 		if i, ok := bitsEqual32(got, want); !ok {
 			t.Fatalf("shape %v: kernel %s differs from golden reference at flat index %d: %x vs %x",

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -66,7 +67,7 @@ func TestMatMulF32MatchesFloat64(t *testing.T) {
 	a := rand32(r, 32, 491, 0.7)
 	b := rand32(r, 491, 96, 0)
 	got := New32(32, 96)
-	MatMulF32(got, a, b)
+	MatMulF32(got, a, b, nil)
 	want := New(32, 96)
 	MatMul(want, a.Float64(), b.Float64())
 	for i := range got.Data {
@@ -85,7 +86,7 @@ func TestMatMulF32ParallelMatchesSerial(t *testing.T) {
 	matMulF32Range(serial, a, b, 0, a.Rows)
 	for _, workers := range []int{2, 3, 8, 64} {
 		par := New32(37, 97)
-		matMulF32Parallel(par, a, b, workers)
+		matMulF32Parallel(par, a, b, nil, workers)
 		if i, ok := bitsEqual32(par, serial); !ok {
 			t.Fatalf("workers=%d: parallel differs from serial at flat index %d", workers, i)
 		}
@@ -95,15 +96,15 @@ func TestMatMulF32ParallelMatchesSerial(t *testing.T) {
 func TestMatMulF32DegenerateShapes(t *testing.T) {
 	// Zero inner dimension: dst must be cleared, not left stale.
 	dst := FromSlice32(2, 3, []float32{1, 2, 3, 4, 5, 6})
-	MatMulF32(dst, New32(2, 0), New32(0, 3))
+	MatMulF32(dst, New32(2, 0), New32(0, 3), nil)
 	for i, v := range dst.Data {
 		if v != 0 {
 			t.Fatalf("k=0: dst[%d] = %g, want 0", i, v)
 		}
 	}
 	// Zero rows / zero cols: no panic, nothing to write.
-	MatMulF32(New32(0, 3), New32(0, 5), New32(5, 3))
-	MatMulF32(New32(2, 0), New32(2, 5), New32(5, 0))
+	MatMulF32(New32(0, 3), New32(0, 5), New32(5, 3), nil)
+	MatMulF32(New32(2, 0), New32(2, 5), New32(5, 0), nil)
 }
 
 func TestMatMulF32PanicsOnShapeMismatch(t *testing.T) {
@@ -116,8 +117,8 @@ func TestMatMulF32PanicsOnShapeMismatch(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("inner", func() { MatMulF32(New32(2, 3), New32(2, 4), New32(5, 3)) })
-	mustPanic("dst", func() { MatMulF32(New32(9, 9), New32(2, 4), New32(4, 3)) })
+	mustPanic("inner", func() { MatMulF32(New32(2, 3), New32(2, 4), New32(5, 3), nil) })
+	mustPanic("dst", func() { MatMulF32(New32(9, 9), New32(2, 4), New32(4, 3), nil) })
 }
 
 func TestMatrix32Basics(t *testing.T) {
@@ -145,17 +146,6 @@ func TestMatrix32Basics(t *testing.T) {
 	if am.RowArgmax(1) != 0 {
 		t.Fatalf("RowArgmax row 1: got %d", am.RowArgmax(1))
 	}
-	if am.HasNaN() {
-		t.Fatal("HasNaN on finite data")
-	}
-	am.Set(1, 1, float32(math.Inf(-1)))
-	if !am.HasNaN() {
-		t.Fatal("HasNaN must flag Inf")
-	}
-	am.Set(1, 1, float32(math.NaN()))
-	if !am.HasNaN() {
-		t.Fatal("HasNaN must flag NaN")
-	}
 }
 
 func TestFloat32Float64Conversions(t *testing.T) {
@@ -171,21 +161,75 @@ func TestFloat32Float64Conversions(t *testing.T) {
 	}
 }
 
-func TestAddRowVector32(t *testing.T) {
-	m := FromSlice32(2, 2, []float32{1, 2, 3, 4})
-	AddRowVector32(m, []float32{10, 20})
-	want := []float32{11, 22, 13, 24}
-	for i, v := range want {
-		if m.Data[i] != v {
-			t.Fatalf("Data[%d] = %g, want %g", i, m.Data[i], v)
+// TestMatMulF32Epilogue checks the epilogue contract: every output row
+// reaches it exactly once, as part of a run of whole rows, after the
+// product is written, on the serial, sharded and zero-inner-width paths.
+func TestMatMulF32Epilogue(t *testing.T) {
+	r := rand.New(rand.NewSource(14))
+	for _, sh := range [][3]int{{5, 7, 3}, {37, 130, 97}, {4, 0, 6}} {
+		a := rand32(r, sh[0], sh[1], 0.3)
+		b := rand32(r, sh[1], sh[2], 0)
+		want := New32(sh[0], sh[2])
+		MatMulF32(want, a, b, nil)
+		for _, workers := range []int{1, 2, 3} {
+			got := New32(sh[0], sh[2])
+			var mu sync.Mutex
+			seen := 0
+			double := func(rows []float32) {
+				if len(rows)%sh[2] != 0 {
+					t.Errorf("shape %v: epilogue got %d values, not whole rows", sh, len(rows))
+				}
+				for i := range rows {
+					rows[i] *= 2
+				}
+				mu.Lock()
+				seen += len(rows)
+				mu.Unlock()
+			}
+			if workers == 1 {
+				matMulF32Shard(got, a, b, double, 0, a.Rows)
+			} else {
+				matMulF32Parallel(got, a, b, double, workers)
+			}
+			if seen != len(want.Data) {
+				t.Fatalf("shape %v workers %d: epilogue saw %d values, want %d", sh, workers, seen, len(want.Data))
+			}
+			for i, v := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(2*v) {
+					t.Fatalf("shape %v workers %d: flat index %d = %g, want %g", sh, workers, i, got.Data[i], 2*v)
+				}
+			}
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on length mismatch")
+}
+
+func TestFirstNonFinite32(t *testing.T) {
+	nan := math.Float32frombits(0x7fc00000)
+	negNaN := math.Float32frombits(0xffc00000)
+	sigNaN := math.Float32frombits(0x7f800001)
+	inf := float32(math.Inf(1))
+	negZero := math.Float32frombits(0x80000000)
+	subnormal := math.Float32frombits(1)
+	for _, tc := range []struct {
+		name string
+		x    []float32
+		want int
+	}{
+		{"empty", nil, -1},
+		{"zeros", []float32{0, negZero}, -1},
+		{"subnormals", []float32{subnormal, -subnormal, math.Float32frombits(0x007fffff)}, -1},
+		{"max", []float32{math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32}, -1},
+		{"+inf", []float32{1, 2, inf}, 2},
+		{"-inf", []float32{-inf, 1}, 0},
+		{"nan", []float32{0, nan}, 1},
+		{"negative nan", []float32{1, negNaN, inf}, 1},
+		{"signalling nan", []float32{sigNaN}, 0},
+		{"first of many", []float32{0, 3, negNaN, nan, inf}, 2},
+	} {
+		if got := FirstNonFinite32(tc.x); got != tc.want {
+			t.Errorf("%s: FirstNonFinite32(%v) = %d, want %d", tc.name, tc.x, got, tc.want)
 		}
-	}()
-	AddRowVector32(m, []float32{1})
+	}
 }
 
 // Benchmark shapes are the paper model's layers (491→1200→1500→1300→2) at
@@ -209,7 +253,7 @@ func BenchmarkMatMulF32(b *testing.B) {
 		dst := New32(sh.m, sh.n)
 		b.Run(sh.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				MatMulF32(dst, a, w)
+				MatMulF32(dst, a, w, nil)
 			}
 		})
 	}

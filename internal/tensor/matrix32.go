@@ -70,15 +70,16 @@ func (m *Matrix32) RowArgmax(i int) int {
 	return best
 }
 
-// HasNaN reports whether any element is NaN or ±Inf.
-func (m *Matrix32) HasNaN() bool {
-	for _, v := range m.Data {
-		f := float64(v)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return true
+// FirstNonFinite32 returns the index of the first NaN or ±Inf in x, or -1
+// when every element is finite. It tests the exponent bits directly: a
+// float32 is non-finite exactly when all eight are set.
+func FirstNonFinite32(x []float32) int {
+	for i, v := range x {
+		if math.Float32bits(v)&0x7f800000 == 0x7f800000 {
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 // Float64 widens the matrix into a fresh float64 Matrix (exact: every
@@ -102,17 +103,4 @@ func ToFloat32(m *Matrix) *Matrix32 {
 		out.Data[i] = float32(v)
 	}
 	return out
-}
-
-// AddRowVector32 adds the 1×Cols vector v to every row of dst.
-func AddRowVector32(dst *Matrix32, v []float32) {
-	if len(v) != dst.Cols {
-		panic(fmt.Sprintf("tensor: AddRowVector32 len %d != cols %d", len(v), dst.Cols))
-	}
-	for i := 0; i < dst.Rows; i++ {
-		row := dst.Row(i)
-		for j := range row {
-			row[j] += v[j]
-		}
-	}
 }
